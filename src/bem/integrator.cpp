@@ -16,24 +16,23 @@ namespace ebem::bem {
 namespace {
 
 /// Per-thread reusable image-sweep workspace, keyed on the exact source
-/// geometry, kernel, layer pair and mixed-precision knob. Building the
-/// sweep is the per-pair setup cost of the analytic path; hoisting it into
-/// this thread_local buffer removes the churn from every element_pair call,
-/// and the key check turns consecutive evaluations against the same source
-/// — the batched entry point and every ACA row/column sample — into a
-/// single build per (source, field layer).
+/// geometry, kernel and layer pair. Building the sweep is the per-pair setup
+/// cost of the analytic path; hoisting it into this thread_local buffer
+/// removes the churn from every element_pair call, and the key check turns
+/// consecutive evaluations against the same source — the batched entry
+/// point and every ACA row/column sample — into a single build per (source,
+/// field layer).
 struct SweepScratch {
   ImageSegmentSweep sweep;
   std::uint64_t kernel_epoch = 0;  ///< 0 never matches a live kernel
   geom::Vec3 a, b;
   double radius = -1.0;
-  double mixed_tail_threshold = -1.0;
   std::size_t source_layer = static_cast<std::size_t>(-1);
   std::size_t field_layer = static_cast<std::size_t>(-1);
 };
 
 const ImageSegmentSweep& term_sweep(const soil::ImageKernel& kernel, const BemElement& source,
-                                    std::size_t field_layer, double mixed_tail_threshold) {
+                                    std::size_t field_layer) {
   thread_local SweepScratch scratch;
   // Exact comparisons on purpose: any difference rebuilds, a stale hit is
   // impossible (the kernel is identified by its process-unique epoch, not
@@ -42,7 +41,6 @@ const ImageSegmentSweep& term_sweep(const soil::ImageKernel& kernel, const BemEl
   const bool hit = scratch.kernel_epoch == kernel.epoch() &&
                    scratch.field_layer == field_layer &&
                    scratch.source_layer == source.layer && scratch.radius == source.radius &&
-                   scratch.mixed_tail_threshold == mixed_tail_threshold &&
                    scratch.a.x == source.a.x && scratch.a.y == source.a.y &&
                    scratch.a.z == source.a.z && scratch.b.x == source.b.x &&
                    scratch.b.y == source.b.y && scratch.b.z == source.b.z;
@@ -66,35 +64,15 @@ const ImageSegmentSweep& term_sweep(const soil::ImageKernel& kernel, const BemEl
   sweep.az.reserve(terms.size());
   sweep.muz.reserve(terms.size());
   sweep.weight.reserve(terms.size());
-  const auto push = [&](const soil::ImageTerm& term) {
+  for (const soil::ImageTerm& term : terms) {
     sweep.az.push_back(term.mirror * source.a.z + term.offset);
     sweep.muz.push_back(term.mirror * uz);
     sweep.weight.push_back(term.weight);
-  };
-  if (mixed_tail_threshold <= 0.0) {
-    for (const soil::ImageTerm& term : terms) push(term);
-    sweep.tail_begin = sweep.size();
-  } else {
-    // Partition: full-precision head first (original order), then the
-    // small-|weight| tail the sweep evaluates in single precision.
-    double max_weight = 0.0;
-    for (const soil::ImageTerm& term : terms) {
-      max_weight = std::max(max_weight, std::abs(term.weight));
-    }
-    const double cut = mixed_tail_threshold * max_weight;
-    for (const soil::ImageTerm& term : terms) {
-      if (std::abs(term.weight) >= cut) push(term);
-    }
-    sweep.tail_begin = sweep.size();
-    for (const soil::ImageTerm& term : terms) {
-      if (std::abs(term.weight) < cut) push(term);
-    }
   }
   scratch.kernel_epoch = kernel.epoch();
   scratch.a = source.a;
   scratch.b = source.b;
   scratch.radius = source.radius;
-  scratch.mixed_tail_threshold = mixed_tail_threshold;
   scratch.source_layer = source.layer;
   scratch.field_layer = field_layer;
   return scratch.sweep;
@@ -119,8 +97,7 @@ std::array<double, 2> Integrator::inner_integrals(geom::Vec3 field_point,
   std::array<double, 2> result{0.0, 0.0};
 
   if (options_.inner == InnerIntegration::kAnalytic) {
-    const ImageSegmentSweep& sweep =
-        term_sweep(*image_kernel_, source, field_layer, options_.mixed_tail_threshold);
+    const ImageSegmentSweep& sweep = term_sweep(*image_kernel_, source, field_layer);
     const bool linear = options_.basis == BasisKind::kLinear;
     if (options_.segment_eval == SegmentEval::kBatched) {
       accumulate_image_sweep(sweep, &field_point.x, &field_point.y, &field_point.z, 1, linear,
@@ -249,8 +226,7 @@ LocalMatrix Integrator::element_pair_analytic(const BemElement& field,
   // field layer, reused verbatim when the source repeats) and every term is
   // applied to the whole Gauss-point batch before moving to the next image.
   const bool linear = options_.basis == BasisKind::kLinear;
-  const ImageSegmentSweep& sweep =
-      term_sweep(*image_kernel_, source, field.layer, options_.mixed_tail_threshold);
+  const ImageSegmentSweep& sweep = term_sweep(*image_kernel_, source, field.layer);
   if (options_.segment_eval == SegmentEval::kBatched) {
     accumulate_image_sweep(sweep, xs, ys, zs, points, linear, acc0, acc1);
   } else {

@@ -49,14 +49,6 @@ struct IntegratorOptions {
   std::size_t outer_gauss_points = 8;
   std::size_t inner_gauss_points = 8;  ///< used only by InnerIntegration::kGauss
   SegmentEval segment_eval = SegmentEval::kBatched;
-  /// Mixed-precision experiment, off at 0 (the default). When positive,
-  /// image terms whose |weight| falls below this fraction of the pair's
-  /// largest |weight| are evaluated in single precision and folded into the
-  /// double accumulators (see ImageSegmentSweep::tail_begin). At 1e-5 the
-  /// assembly-level deviation from the all-double path stays below ~1e-9
-  /// relative (the documented bound, asserted by tests) — measurably outside
-  /// the 1e-12 parity contract, which is why it is an opt-in experiment.
-  double mixed_tail_threshold = 0.0;
 
   friend bool operator==(const IntegratorOptions&, const IntegratorOptions&) = default;
 };

@@ -41,27 +41,6 @@ inline Lane lane_kernel(double t0, double perp2, double length) {
   return lane;
 }
 
-struct LaneF {
-  float i0, i1;
-};
-
-inline LaneF lane_kernel(float t0, float perp2, float length) {
-  const float u1 = length - t0;
-  const float r0 = std::sqrt(t0 * t0 + perp2);
-  const float r1 = std::sqrt(u1 * u1 + perp2);
-  const float s = r0 + r1;
-  // Same single-division fraction form as the double lane above.
-  const float an = t0 > 0.0f ? perp2 : r0 - t0;
-  const float ad = t0 > 0.0f ? r0 + t0 : 1.0f;
-  const float cn = u1 < 0.0f ? perp2 : r1 + u1;
-  const float cd = u1 < 0.0f ? r1 - u1 : 1.0f;
-  const float inv = 1.0f / (cd * s * an);
-  LaneF lane;
-  lane.i0 = simd_log1p(length * (an * cd + cn * ad) * inv);
-  lane.i1 = length * (length - 2.0f * t0) * (cd * an * inv) + t0 * lane.i0;
-  return lane;
-}
-
 /// Per-thread SoA workspace of the short-sweep path: the field points'
 /// hoisted horizontal products (term-independent across the image loop).
 struct SweepScratch {
@@ -181,8 +160,7 @@ double accumulate_image_sweep_core(const ImageSegmentSweep& sweep,
   const double* EBEM_RESTRICT muz = sweep.muz.data();
   const double* EBEM_RESTRICT weight = sweep.weight.data();
 
-  const std::size_t head = std::min(sweep.tail_begin, terms);
-  if (head >= kTermVectorThreshold) {
+  if (terms >= kTermVectorThreshold) {
     // Long sweep: vectorize over the image terms. Each field point hoists
     // its term-independent products into registers and reduces its whole
     // series with register accumulators — no per-term loads or stores of
@@ -198,7 +176,7 @@ double accumulate_image_sweep_core(const ImageSegmentSweep& sweep,
       double a0 = 0.0, a1 = 0.0;
       if (linear_basis) {
         EBEM_SIMD_LOOP_CLAUSES(reduction(min : pmin) reduction(+ : a0, a1))
-        for (std::size_t t = 0; t < head; ++t) {
+        for (std::size_t t = 0; t < terms; ++t) {
           const double wz = zq - az[t];
           const double t0 = txyq + wz * muz[t];
           const double cx = wyq * muz[t] - wz * uy;
@@ -212,7 +190,7 @@ double accumulate_image_sweep_core(const ImageSegmentSweep& sweep,
         }
       } else {
         EBEM_SIMD_LOOP_CLAUSES(reduction(min : pmin) reduction(+ : a0))
-        for (std::size_t t = 0; t < head; ++t) {
+        for (std::size_t t = 0; t < terms; ++t) {
           const double wz = zq - az[t];
           const double t0 = txyq + wz * muz[t];
           const double cx = wyq * muz[t] - wz * uy;
@@ -225,7 +203,7 @@ double accumulate_image_sweep_core(const ImageSegmentSweep& sweep,
       acc0[q] += a0;
       if (linear_basis) acc1[q] += a1;
     }
-  } else if (head > 0) {
+  } else {
     // Short sweep (uniform soil runs just the source and its mirror):
     // vectorize over the field points, hoisting what the images share —
     // the horizontal offset, its axis projection and the vertical cross
@@ -244,7 +222,7 @@ double accumulate_image_sweep_core(const ImageSegmentSweep& sweep,
       const double cz = wx[q] * uy - wy[q] * ux;
       cz2[q] = cz * cz;
     }
-    for (std::size_t t = 0; t < head; ++t) {
+    for (std::size_t t = 0; t < terms; ++t) {
       const double azt = az[t];
       const double muzt = muz[t];
       const double w = weight[t];
@@ -275,61 +253,6 @@ double accumulate_image_sweep_core(const ImageSegmentSweep& sweep,
         }
       }
     }
-  }
-
-  if (head < terms) {
-    // Mixed-precision tail: the small-|weight| terms in single precision,
-    // folded into the double accumulators once per point. The tail is only
-    // ever carved out of a long layered series, so it reduces over the
-    // terms exactly like the long-sweep path above.
-    const float fux = static_cast<float>(ux);
-    const float fuy = static_cast<float>(uy);
-    const float flength = static_cast<float>(length);
-    const float fradius2 = static_cast<float>(radius2);
-    const float finv_length = static_cast<float>(inv_length);
-    float fpmin = std::numeric_limits<float>::infinity();
-    for (std::size_t q = 0; q < count; ++q) {
-      const float fwxq = static_cast<float>(xs[q] - ax);
-      const float fwyq = static_cast<float>(ys[q] - ay);
-      const float fzq = static_cast<float>(zs[q]);
-      const float ftxyq = fwxq * fux + fwyq * fuy;
-      const float fczq = fwxq * fuy - fwyq * fux;
-      const float fcz2q = fczq * fczq + fradius2;
-      float f0 = 0.0f, f1 = 0.0f;
-      if (linear_basis) {
-        EBEM_SIMD_LOOP_CLAUSES(reduction(min : fpmin) reduction(+ : f0, f1))
-        for (std::size_t t = head; t < terms; ++t) {
-          const float fazt = static_cast<float>(az[t]);
-          const float fmuzt = static_cast<float>(muz[t]);
-          const float wz = fzq - fazt;
-          const float t0 = ftxyq + wz * fmuzt;
-          const float cx = fwyq * fmuzt - wz * fuy;
-          const float cy = wz * fux - fwxq * fmuzt;
-          const float perp2 = cx * cx + cy * cy + fcz2q;
-          fpmin = std::min(fpmin, perp2);
-          const LaneF lane = lane_kernel(t0, perp2, flength);
-          const float end = lane.i1 * finv_length;
-          f0 += static_cast<float>(weight[t]) * (lane.i0 - end);
-          f1 += static_cast<float>(weight[t]) * end;
-        }
-      } else {
-        EBEM_SIMD_LOOP_CLAUSES(reduction(min : fpmin) reduction(+ : f0))
-        for (std::size_t t = head; t < terms; ++t) {
-          const float fazt = static_cast<float>(az[t]);
-          const float fmuzt = static_cast<float>(muz[t]);
-          const float wz = fzq - fazt;
-          const float t0 = ftxyq + wz * fmuzt;
-          const float cx = fwyq * fmuzt - wz * fuy;
-          const float cy = wz * fux - fwxq * fmuzt;
-          const float perp2 = cx * cx + cy * cy + fcz2q;
-          fpmin = std::min(fpmin, perp2);
-          f0 += static_cast<float>(weight[t]) * lane_kernel(t0, perp2, flength).i0;
-        }
-      }
-      acc0[q] += static_cast<double>(f0);
-      if (linear_basis) acc1[q] += static_cast<double>(f1);
-    }
-    pmin = std::min(pmin, static_cast<double>(fpmin));
   }
 
   return pmin;

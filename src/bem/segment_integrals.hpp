@@ -100,10 +100,6 @@ struct ImageSegmentSweep {
   std::vector<double> az;      ///< per image: start depth, mirror * a.z + offset
   std::vector<double> muz;     ///< per image: mirror * u.z
   std::vector<double> weight;  ///< per image: series weight
-  /// First term of the single-precision tail (mixed-precision experiment);
-  /// == size() keeps the whole sweep in double. The builder orders the
-  /// small-weight tail terms after tail_begin.
-  std::size_t tail_begin = 0;
 
   [[nodiscard]] std::size_t size() const { return az.size(); }
 
@@ -111,7 +107,6 @@ struct ImageSegmentSweep {
     az.clear();
     muz.clear();
     weight.clear();
-    tail_begin = 0;
   }
 };
 
@@ -120,9 +115,6 @@ struct ImageSegmentSweep {
 ///   acc0[q] += sum_t w_t * (I0 - I1/L)   (start-node shape integral)
 ///   acc1[q] += sum_t w_t * I1/L          (end-node shape integral)
 /// and for a constant basis acc0[q] += sum_t w_t * I0 with acc1 untouched.
-/// Terms at index >= sweep.tail_begin are evaluated in single precision and
-/// folded into the double accumulators once (the mixed-precision
-/// experiment; see IntegratorOptions::mixed_tail_threshold for the bound).
 /// Throws like segment_potentials if any (image, point) pairing hits an
 /// unregularized axis.
 void accumulate_image_sweep(const ImageSegmentSweep& sweep, const double* xs, const double* ys,

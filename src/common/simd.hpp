@@ -66,8 +66,6 @@ namespace simd_detail {
 // log(2) split so that exponent * ln2_hi is exact (low 27 bits zero).
 inline constexpr double kLn2Hi = 6.93147180369123816490e-01;
 inline constexpr double kLn2Lo = 1.90821492927058770002e-10;
-inline constexpr float kLn2HiF = 6.9313812256e-01f;
-inline constexpr float kLn2LoF = 9.0580006145e-06f;
 
 }  // namespace simd_detail
 
@@ -104,28 +102,6 @@ inline constexpr float kLn2LoF = 9.0580006145e-06f;
   const double log_m = 2.0 * z + (2.0 * z) * z2 * p;
   const double ef = static_cast<double>(e);
   return ef * simd_detail::kLn2Hi + (log_m + (c + ef * simd_detail::kLn2Lo));
-}
-
-/// Single-precision variant for the mixed-precision image-tail experiment;
-/// same structure, 5 odd terms (truncation ~2e-9 relative, below half-ulp).
-[[nodiscard]] inline float simd_log1p(float y) {
-  const float u = 1.0f + y;
-  const float c = (y - (u - 1.0f)) / u;
-  const std::uint32_t bits = std::bit_cast<std::uint32_t>(u);
-  std::int32_t e = static_cast<std::int32_t>(bits >> 23) - 127;
-  float m = std::bit_cast<float>((bits & 0x007fffffu) | 0x3f800000u);
-  const bool upper = m > 1.4142135f;
-  m = upper ? 0.5f * m : m;
-  e += upper ? 1 : 0;
-  const float z = (m - 1.0f) / (m + 1.0f);
-  const float z2 = z * z;
-  float p = 1.0f / 9.0f;
-  p = p * z2 + 1.0f / 7.0f;
-  p = p * z2 + 1.0f / 5.0f;
-  p = p * z2 + 1.0f / 3.0f;
-  const float log_m = 2.0f * z + (2.0f * z) * z2 * p;
-  const float ef = static_cast<float>(e);
-  return ef * simd_detail::kLn2HiF + (log_m + (c + ef * simd_detail::kLn2LoF));
 }
 
 /// Branch-free exp, accurate to a few ulp for |x| < 700; saturates cleanly

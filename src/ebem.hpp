@@ -153,11 +153,7 @@
 // compressed backend's net pair bill below half of dense. The multi-layer
 // spectral kernel batches too — its per-lambda boundary system is
 // assembled symbolically once per evaluation and solved for whole
-// quadrature panels on per-thread workspaces (soil/hankel_kernel). An
-// opt-in mixed-precision experiment (IntegratorOptions::
-// mixed_tail_threshold) runs the small-weight image tail in single
-// precision, documented bound ~1e-9 at threshold 1e-5 — measurably outside
-// the 1e-12 parity contract, hence off by default.
+// quadrature panels on per-thread workspaces (soil/hankel_kernel).
 //
 // Serving the engine (service/): everything above assumes the caller links
 // the library; the service layer puts the same engine behind a network front
@@ -173,12 +169,15 @@
 // enforces per-tenant quotas (outstanding runs, elements per model, a
 // sliding rate window) plus one global outstanding bound, rejecting
 // immediately with a typed code (quota_exceeded / rate_limited / overloaded
-// / model_too_large) rather than queueing unboundedly; and a harvester
-// thread reaps completed RunFutures, billing each run's own PhaseReport —
-// wall seconds by phase, elements, cache hits — into that tenant's
-// CostAccount, which the wire's stats request exposes as the bill.
-// Graceful shutdown drains in-flight runs and flushes accounts before the
-// socket closes; a shutting_down code refuses latecomers. The wire
+// / model_too_large) rather than queueing unboundedly. Every submit carries
+// a completion callback that the engine's executor invokes once, when the
+// run ends: it builds the run's wire report, bills the run's own
+// PhaseReport — wall seconds by phase, elements, cache hits — into that
+// tenant's CostAccount (which the wire's stats request exposes as the
+// bill), releases the admission slot, and only then publishes the report,
+// so a client that sees "done" also sees the bill and the free slot. No
+// service thread polls futures. Graceful shutdown waits until every
+// admitted run is billed; a shutting_down code refuses latecomers. The wire
 // factor_solve path reproduces analyze()'s numbers to <= 1e-12 (CI-gated by
 // bench/bench_service.cpp --check). service::LoopbackClient runs the whole
 // protocol in-process for tests; examples/serve.cpp walks the socket

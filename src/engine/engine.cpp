@@ -29,7 +29,6 @@ std::uint64_t physics_fingerprint(const soil::LayeredSoil& soil,
   h = hash_combine(h, integrator.outer_gauss_points);
   h = hash_combine(h, integrator.inner_gauss_points);
   h = hash_combine(h, static_cast<std::uint64_t>(integrator.segment_eval));
-  h = hash_combine(h, word_of(integrator.mixed_tail_threshold));
   h = hash_combine(h, word_of(options.series.tolerance));
   h = hash_combine(h, options.series.max_reflections);
   h = hash_combine(h, word_of(options.hankel.tolerance));
@@ -82,13 +81,15 @@ SchedulerStats Engine::scheduler_stats() {
 }
 
 RunFuture Engine::submit(bem::BemModel model, const bem::AnalysisOptions& options,
-                         const SubmitOptions& overrides) {
-  return scheduler().submit(std::move(model), options, overrides);
+                         const SubmitOptions& overrides, RunCallback on_complete) {
+  return scheduler().submit(std::move(model), options, overrides, std::move(on_complete));
 }
 
 FactorFuture Engine::submit_factor(bem::BemModel model, const bem::AnalysisOptions& options,
-                                   const SubmitOptions& overrides) {
-  return scheduler().submit_factor(std::move(model), options, overrides);
+                                   const SubmitOptions& overrides,
+                                   FactorCallback on_complete) {
+  return scheduler().submit_factor(std::move(model), options, overrides,
+                                   std::move(on_complete));
 }
 
 void Engine::drain() {
@@ -238,16 +239,15 @@ std::vector<double> Engine::solve(const la::SymMatrix& matrix, std::span<const d
 bem::AnalysisResult Engine::analyze(const bem::BemModel& model,
                                     const bem::AnalysisOptions& options,
                                     PhaseReport* run_report) {
-  // Borrowed submit: take() below blocks until the run is terminal, so the
-  // caller's model provably outlives it and no copy is needed.
-  RunFuture future = scheduler().submit_borrowed(model, options, {});
+  // The copy is O(M); the run's assembly is O(M^2).
+  RunFuture future = submit(model, options);
   bem::AnalysisResult result = future.take();
   if (run_report != nullptr) run_report->merge(future.report());
   return result;
 }
 
 FactoredSystem Engine::factor(const bem::BemModel& model, const bem::AnalysisOptions& options) {
-  return scheduler().submit_factor_borrowed(model, options, {}).take();
+  return submit_factor(model, options).take();
 }
 
 }  // namespace ebem::engine

@@ -94,7 +94,8 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
 
   /// Drains the scheduler first: every submitted run reaches a terminal
-  /// state before the pool and cache go away.
+  /// state, and every completion callback returns, before the pool and
+  /// cache go away.
   ~Engine();
 
   [[nodiscard]] const ExecutionConfig& config() const { return config_; }
@@ -127,8 +128,11 @@ class Engine {
   /// config().pipeline_width runs have stages in flight at once, sharing
   /// the engine's pool and warm cache. Per-run `overrides` (storage budget,
   /// residual measurement) are validated here, on the submitting thread.
+  /// `on_complete` is invoked once when the run ends (Scheduler::submit has
+  /// the contract).
   [[nodiscard]] RunFuture submit(bem::BemModel model, const bem::AnalysisOptions& options = {},
-                                 const SubmitOptions& overrides = {});
+                                 const SubmitOptions& overrides = {},
+                                 RunCallback on_complete = {});
 
   /// Submit an assemble+factor run; the future yields a FactoredSystem that
   /// answers any number of right-hand sides by substitution only. Always
@@ -137,9 +141,11 @@ class Engine {
   /// engine's pool and report — the Engine must outlive it.
   [[nodiscard]] FactorFuture submit_factor(bem::BemModel model,
                                            const bem::AnalysisOptions& options = {},
-                                           const SubmitOptions& overrides = {});
+                                           const SubmitOptions& overrides = {},
+                                           FactorCallback on_complete = {});
 
-  /// Block until every run submitted so far is terminal.
+  /// Block until every run submitted so far is terminal (completion
+  /// callbacks may still be running; ~Engine waits for those too).
   void drain();
 
   /// Scheduler lifetime accounting: runs submitted and the peak number of
@@ -164,10 +170,11 @@ class Engine {
                                           bem::SolveStats* stats = nullptr);
 
   /// Full analysis (assembly + solve + design parameters) — a thin
-  /// submit()+get() shim over the pipeline, so it interleaves fairly with
-  /// concurrently submitted runs. Timings and cache counters accumulate
-  /// into report(), and additionally into `run_report` when provided (a
-  /// caller's per-run view of the same numbers).
+  /// submit()+get() shim over the pipeline (the run gets its own copy of
+  /// the model), so it interleaves fairly with concurrently submitted
+  /// runs. Timings and cache counters accumulate into report(), and
+  /// additionally into `run_report` when provided (a caller's per-run view
+  /// of the same numbers).
   [[nodiscard]] bem::AnalysisResult analyze(const bem::BemModel& model,
                                             const bem::AnalysisOptions& options = {},
                                             PhaseReport* run_report = nullptr);
@@ -188,7 +195,6 @@ class Engine {
 
  private:
   friend class AssemblyGate;
-  friend class Study;  ///< for the copy-free borrowed submits of its shims
 
   /// Admission to the cache-coherent assembly phase (no-op when the cache
   /// is off). A run whose `fingerprint` differs from the cache's current

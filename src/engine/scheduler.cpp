@@ -22,19 +22,18 @@ namespace detail {
 /// executing stage at any time), so they need no locking of their own; the
 /// mutex/cv pair orders the status handshake with the futures.
 struct RunState {
-  explicit RunState(std::optional<bem::BemModel> owned) : owned_model(std::move(owned)) {}
+  explicit RunState(bem::BemModel input) : model(std::move(input)) {}
 
   // Immutable after submit().
   bool factor_only = false;
-  /// The async submits' own model copy; empty for blocking-shim runs, which
-  /// borrow the caller's model for the (waited-on) run lifetime.
-  std::optional<bem::BemModel> owned_model;
-  const bem::BemModel* model = nullptr;  ///< owned_model or the borrowed one
+  bem::BemModel model;
   bem::AnalysisOptions options;
   bem::AnalysisExecution execution;  ///< engine plumbing + per-run overrides
   std::optional<std::uint64_t> fingerprint;  ///< set when the warm cache is on
   std::uint64_t sequence = 0;
   Engine* engine = nullptr;
+  /// Set before the run is queued; taken and called once by finish_run.
+  Completion on_complete;
 
   // Stage products, handed from stage to stage.
   std::optional<bem::AssemblyResult> assembled;
@@ -86,12 +85,6 @@ void wait_terminal(const RunState& run) {
   run.cv.wait(lock, [&] { return is_terminal(run.status); });
 }
 
-[[nodiscard]] bool wait_terminal_for(const RunState& run, std::chrono::nanoseconds timeout) {
-  std::unique_lock lock(run.mutex);
-  if (timeout <= std::chrono::nanoseconds::zero()) return is_terminal(run.status);
-  return run.cv.wait_for(lock, timeout, [&] { return is_terminal(run.status); });
-}
-
 /// Wait, then leave the run locked-in as kDone or throw its error.
 void wait_success(const RunState& run, const char* what) {
   std::unique_lock lock(run.mutex);
@@ -123,7 +116,7 @@ void stage_assemble(RunState& run) {
     // before ours starts. Factor/solve stages never touch the cache, so
     // they keep pipelining across the physics change.
     const AssemblyGate gate(*run.engine, run.fingerprint, &run.report);
-    assembled = bem::assemble(*run.model, run.options.assembly, run.execution.assembly);
+    assembled = bem::assemble(run.model, run.options.assembly, run.execution.assembly);
   }
   run.report.add(Phase::kMatrixGeneration, wall.seconds(), cpu.seconds());
   if (run.execution.assembly.cache != nullptr) {
@@ -241,11 +234,6 @@ void FutureBase::wait() const {
   wait_terminal(*state_);
 }
 
-bool FutureBase::wait_for(std::chrono::nanoseconds timeout) const {
-  EBEM_EXPECT(valid(), "wait_for() on an empty run future");
-  return wait_terminal_for(*state_, timeout);
-}
-
 const PhaseReport& FutureBase::report() const {
   EBEM_EXPECT(valid(), "report() on an empty run future");
   wait_terminal(*state_);
@@ -307,23 +295,22 @@ Scheduler::~Scheduler() {
     stopping_ = true;
   }
   // Executors drain the remaining queue before exiting, so every submitted
-  // run reaches a terminal state and no future waits forever.
+  // run reaches a terminal state (and its callback has run) and no future
+  // waits forever.
   ready_cv_.notify_all();
   for (std::thread& executor : executors_) executor.join();
 }
 
-std::shared_ptr<RunState> Scheduler::make_run(std::optional<bem::BemModel> owned,
-                                              const bem::BemModel* model,
+std::shared_ptr<RunState> Scheduler::make_run(bem::BemModel model,
                                               const bem::AnalysisOptions& options,
-                                              const SubmitOptions& overrides,
-                                              bool factor_only) {
+                                              const SubmitOptions& overrides, bool factor_only,
+                                              detail::Completion on_complete) {
   // Everything that can be rejected is rejected here, on the submitting
   // thread — never on an executor mid-pipeline.
   EBEM_EXPECT(options.gpr > 0.0, "GPR must be positive");
   overrides.validate();
 
-  auto run = std::make_shared<RunState>(std::move(owned));
-  run->model = run->owned_model.has_value() ? &*run->owned_model : model;
+  auto run = std::make_shared<RunState>(std::move(model));
   run->factor_only = factor_only;
   run->options = options;
   run->execution = engine_.analysis_execution();
@@ -332,9 +319,10 @@ std::shared_ptr<RunState> Scheduler::make_run(std::optional<bem::BemModel> owned
     run->execution.solve.measure_residual = *overrides.measure_residual;
   }
   if (engine_.cache() != nullptr) {
-    run->fingerprint = physics_fingerprint(run->model->soil(), options.assembly);
+    run->fingerprint = physics_fingerprint(run->model.soil(), options.assembly);
   }
   run->engine = &engine_;
+  run->on_complete = std::move(on_complete);
 
   {
     std::unique_lock lock(mutex_);
@@ -360,30 +348,27 @@ SchedulerStats Scheduler::stats() const {
   return {.submitted = submitted_, .peak_outstanding = peak_outstanding_};
 }
 
+template <class Future>
+detail::Completion Scheduler::completion(std::function<void(Future)> callback) {
+  if (!callback) return {};
+  return [callback = std::move(callback)](std::shared_ptr<RunState> run) {
+    callback(Future(std::move(run)));
+  };
+}
+
 RunFuture Scheduler::submit(bem::BemModel model, const bem::AnalysisOptions& options,
-                            const SubmitOptions& overrides) {
-  return RunFuture(
-      make_run(std::move(model), nullptr, options, overrides, /*factor_only=*/false));
+                            const SubmitOptions& overrides, RunCallback on_complete) {
+  return RunFuture(make_run(std::move(model), options, overrides, /*factor_only=*/false,
+                            completion(std::move(on_complete))));
 }
 
 FactorFuture Scheduler::submit_factor(bem::BemModel model, const bem::AnalysisOptions& options,
-                                      const SubmitOptions& overrides) {
+                                      const SubmitOptions& overrides,
+                                      FactorCallback on_complete) {
   // The handles are direct-solver by definition; the configured solver
   // policy governs analysis runs only (same contract as Engine::factor).
-  return FactorFuture(
-      make_run(std::move(model), nullptr, options, overrides, /*factor_only=*/true));
-}
-
-RunFuture Scheduler::submit_borrowed(const bem::BemModel& model,
-                                     const bem::AnalysisOptions& options,
-                                     const SubmitOptions& overrides) {
-  return RunFuture(make_run(std::nullopt, &model, options, overrides, /*factor_only=*/false));
-}
-
-FactorFuture Scheduler::submit_factor_borrowed(const bem::BemModel& model,
-                                               const bem::AnalysisOptions& options,
-                                               const SubmitOptions& overrides) {
-  return FactorFuture(make_run(std::nullopt, &model, options, overrides, /*factor_only=*/true));
+  return FactorFuture(make_run(std::move(model), options, overrides, /*factor_only=*/true,
+                               completion(std::move(on_complete))));
 }
 
 void Scheduler::drain() {
@@ -419,15 +404,16 @@ void Scheduler::execute_stage(const Task& task) {
   RunState& run = *task.run;
   if (task.stage == kStageAssemble) {
     // First stage: claim the run (or honor a cancel that won the race).
-    const std::scoped_lock lock(run.mutex);
-    if (run.status == RunStatus::kCancelled) {
-      // finish_run would re-notify and must not merge anything; just settle
-      // the bookkeeping.
-      const std::scoped_lock qlock(mutex_);
-      retire_locked();
+    bool cancelled = false;
+    {
+      const std::scoped_lock lock(run.mutex);
+      cancelled = run.status == RunStatus::kCancelled;
+      if (!cancelled) run.status = RunStatus::kRunning;
+    }
+    if (cancelled) {
+      finish_run(task.run, RunStatus::kCancelled);
       return;
     }
-    run.status = RunStatus::kRunning;
   }
 
   try {
@@ -474,6 +460,12 @@ void Scheduler::finish_run(const std::shared_ptr<RunState>& run, RunStatus statu
   {
     const std::scoped_lock lock(mutex_);
     retire_locked();
+  }
+  // Last, outside every lock: the run is terminal and retired, so the
+  // callback may read its future or release the future's owner. Taking it
+  // out of the run drops its captures when it returns.
+  if (const detail::Completion callback = std::exchange(run->on_complete, nullptr)) {
+    callback(run);
   }
 }
 

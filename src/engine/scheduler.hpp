@@ -21,6 +21,15 @@
 // assemblies, which both delivers results roughly in submission order and
 // bounds how many assembled matrices are alive at once (~pipeline_width).
 //
+// Every run has one way in — submit()/submit_factor(), which take the
+// model by value, so the run owns its input — and one way out: the
+// executor that ends the run (done, failed, or cancelled before it
+// started) publishes the terminal status, retires the run from the
+// scheduler's accounting, and then invokes the run's optional completion
+// callback exactly once, outside every scheduler lock. Callers that must
+// react to completion (the service dispatcher bills and publishes from
+// there) therefore need no thread watching futures.
+//
 // Concurrency contract with the engine's warm resources:
 //  * the congruence cache is shared by concurrent assemblies (it is a
 //    sharded, thread-safe map; per-run hit/miss deltas are tallied inside
@@ -32,10 +41,10 @@
 //    PhaseReport's internally locked merge, so no counter increment is lost.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -79,6 +88,9 @@ enum class RunStatus {
 
 namespace detail {
 struct RunState;
+/// A run's stored completion hook: the typed callback, wrapped so it can
+/// rebuild the run's future at call time.
+using Completion = std::function<void(std::shared_ptr<RunState>)>;
 }  // namespace detail
 
 /// Shared handle surface of one submitted run: lifecycle queries, the
@@ -95,12 +107,6 @@ class FutureBase {
   [[nodiscard]] RunStatus status() const;
   /// Block until terminal.
   void wait() const;
-  /// Block until terminal or until `timeout` elapses, whichever comes
-  /// first; returns whether the run is terminal. A non-positive timeout is
-  /// a non-blocking poll. This is what lets one dispatcher thread watch
-  /// many runs with deadlines instead of parking a thread per run (the
-  /// service layer's harvest loop is the canonical caller).
-  [[nodiscard]] bool wait_for(std::chrono::nanoseconds timeout) const;
   /// This run's phase timings and counters; blocks until terminal (the
   /// same numbers the engine's session report received).
   [[nodiscard]] const PhaseReport& report() const;
@@ -151,6 +157,11 @@ class FactorFuture : public FutureBase {
   using FutureBase::FutureBase;
 };
 
+/// Completion callbacks (see Scheduler::submit). Each receives the run's own
+/// future, already terminal.
+using RunCallback = std::function<void(RunFuture)>;
+using FactorCallback = std::function<void(FactorFuture)>;
+
 /// Lifetime accounting of a scheduler — what the backpressure bound and the
 /// campaign bench assert against.
 struct SchedulerStats {
@@ -160,7 +171,8 @@ struct SchedulerStats {
 
 /// The engine's stage scheduler. Owned by (and only constructible through)
 /// an Engine; public mainly so tests can name it. Destruction drains: every
-/// submitted run reaches a terminal state before the executors join.
+/// submitted run reaches a terminal state, and every completion callback
+/// has returned, before the executors join.
 class Scheduler {
  public:
   /// `max_pending` bounds runs submitted but not yet terminal (0 =
@@ -170,25 +182,24 @@ class Scheduler {
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
+  /// Queue one run; the run owns `model`. `on_complete` (optional) is
+  /// stored with the run before it is queued and invoked exactly once by
+  /// the executor that ends it — done, failed, or cancelled before start —
+  /// after the terminal status is published and the run has left this
+  /// scheduler's outstanding count, outside every scheduler lock. It runs
+  /// on an executor, so it should be short and must not throw (an escaping
+  /// exception terminates the process), and it must not destroy the
+  /// engine. It is dropped right after the call, so capturing a handle to
+  /// whatever owns the future forms no lasting cycle.
   [[nodiscard]] RunFuture submit(bem::BemModel model, const bem::AnalysisOptions& options,
-                                 const SubmitOptions& overrides);
+                                 const SubmitOptions& overrides, RunCallback on_complete = {});
   [[nodiscard]] FactorFuture submit_factor(bem::BemModel model,
                                            const bem::AnalysisOptions& options,
-                                           const SubmitOptions& overrides);
+                                           const SubmitOptions& overrides,
+                                           FactorCallback on_complete = {});
 
-  /// Blocking-shim flavors: no model copy is taken, so the caller must keep
-  /// `model` alive until the returned future is terminal — which the
-  /// blocking analyze()/factor() shims guarantee by waiting on the future
-  /// before they return. Asynchronous callers use the owning overloads
-  /// above instead.
-  [[nodiscard]] RunFuture submit_borrowed(const bem::BemModel& model,
-                                          const bem::AnalysisOptions& options,
-                                          const SubmitOptions& overrides);
-  [[nodiscard]] FactorFuture submit_factor_borrowed(const bem::BemModel& model,
-                                                    const bem::AnalysisOptions& options,
-                                                    const SubmitOptions& overrides);
-
-  /// Block until every run submitted so far is terminal.
+  /// Block until every run submitted so far is terminal. A completion
+  /// callback may still be running when this returns.
   void drain();
 
   [[nodiscard]] std::size_t width() const { return executors_.size(); }
@@ -203,19 +214,21 @@ class Scheduler {
     int stage;
   };
 
-  /// `owned` carries the async submits' model copy (the run then points at
-  /// it); empty for the borrowed shims, where `model` is caller-kept.
-  std::shared_ptr<detail::RunState> make_run(std::optional<bem::BemModel> owned,
-                                             const bem::BemModel* model,
+  /// Wrap a typed callback into the run's stored hook (empty stays empty).
+  template <class Future>
+  static detail::Completion completion(std::function<void(Future)> callback);
+
+  std::shared_ptr<detail::RunState> make_run(bem::BemModel model,
                                              const bem::AnalysisOptions& options,
-                                             const SubmitOptions& overrides, bool factor_only);
+                                             const SubmitOptions& overrides, bool factor_only,
+                                             detail::Completion on_complete);
   void enqueue(Task task);
   void executor_loop();
   void execute_stage(const Task& task);
   void finish_run(const std::shared_ptr<detail::RunState>& run, RunStatus status);
 
-  /// Called on both retirement paths (finish_run and the cancelled-before-
-  /// start bookkeeping) under mutex_; wakes drain() and bounded submitters.
+  /// Called by finish_run under mutex_; wakes drain() and bounded
+  /// submitters.
   void retire_locked();
 
   Engine& engine_;

@@ -7,13 +7,10 @@ namespace ebem::engine {
 Study::Study(Engine& engine, bem::AnalysisOptions options)
     : engine_(&engine), options_(std::move(options)) {}
 
-void Study::record_delta(const bem::CongruenceCacheStats& delta) {
-  const std::scoped_lock lock(delta_mutex_);
-  last_cache_delta_ = delta;
-}
-
-RunFuture Study::submit(bem::BemModel model, const SubmitOptions& overrides) {
-  RunFuture future = engine_->submit(std::move(model), options_, overrides);
+RunFuture Study::submit(bem::BemModel model, const SubmitOptions& overrides,
+                        RunCallback on_complete) {
+  RunFuture future =
+      engine_->submit(std::move(model), options_, overrides, std::move(on_complete));
   // Counted only after submit() accepted the run — a validation throw above
   // must not inflate runs().
   runs_.fetch_add(1, std::memory_order_relaxed);
@@ -21,23 +18,14 @@ RunFuture Study::submit(bem::BemModel model, const SubmitOptions& overrides) {
 }
 
 bem::AnalysisResult Study::analyze(const bem::BemModel& model, PhaseReport* run_report) {
-  // The engine's blocking shim already is submit+take+report-merge; reusing
-  // it keeps exactly one copy of that protocol.
   bem::AnalysisResult result = engine_->analyze(model, options_, run_report);
   runs_.fetch_add(1, std::memory_order_relaxed);
-  // The assembly tallied this run's lookups itself, so the delta is exact
-  // even if other runs were in flight on the same cache.
-  record_delta(result.cache_stats);
   return result;
 }
 
 FactoredSystem Study::factor(const bem::BemModel& model) {
-  // No Engine shim fits here: the cache delta is not on FactoredSystem, so
-  // this path holds the future itself (borrowed submit — we block below).
-  FactorFuture future = engine_->scheduler().submit_factor_borrowed(model, options_, {});
+  FactoredSystem system = engine_->factor(model, options_);
   runs_.fetch_add(1, std::memory_order_relaxed);
-  FactoredSystem system = future.take();
-  record_delta(future.cache_delta());
   return system;
 }
 

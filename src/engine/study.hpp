@@ -5,9 +5,10 @@
 // the shape of every CAD loop in the paper: the design ladder re-meshes the
 // same site, soil estimation re-analyzes the same grid under fitted soils,
 // safety sweeps re-solve the chosen design. Because the physics is pinned,
-// every run legitimately shares the Engine's warm congruence cache, and the
-// Study tracks the per-run cache delta — the number candidate k actually
-// gained from candidates 1..k-1.
+// every run legitimately shares the Engine's warm congruence cache; each
+// run's result (AnalysisResult::cache_stats, RunFuture::cache_delta())
+// carries its exact cache delta — the number candidate k actually gained
+// from candidates 1..k-1.
 //
 // Independent models should be submit()ted rather than analyzed one by one:
 // the engine's scheduler pipelines their assemble/factor/solve stages on
@@ -18,10 +19,8 @@
 
 #include <atomic>
 #include <cstddef>
-#include <mutex>
 
 #include "src/bem/analysis.hpp"
-#include "src/bem/congruence_cache.hpp"
 #include "src/engine/engine.hpp"
 #include "src/engine/factored_system.hpp"
 #include "src/engine/scheduler.hpp"
@@ -36,8 +35,10 @@ class Study {
   /// Submit one model for analysis under the study's physics; returns
   /// immediately. Concurrent submits pipeline on the engine's scheduler and
   /// share the warm cache; the future's cache_delta() is this run's exact
-  /// hit/miss tally.
-  [[nodiscard]] RunFuture submit(bem::BemModel model, const SubmitOptions& overrides = {});
+  /// hit/miss tally. `on_complete` is invoked once when the run ends
+  /// (Scheduler::submit has the contract).
+  [[nodiscard]] RunFuture submit(bem::BemModel model, const SubmitOptions& overrides = {},
+                                 RunCallback on_complete = {});
 
   /// Analyze one model under the study's physics, against the engine's warm
   /// resources — the blocking submit+get shim. Safe to call with
@@ -56,24 +57,10 @@ class Study {
   /// count at submission).
   [[nodiscard]] std::size_t runs() const { return runs_.load(std::memory_order_relaxed); }
 
-  /// Congruence-cache counters of the most recently *completed* blocking
-  /// run (hits a run took from the warm cache, misses it had to integrate).
-  /// Zeros before the first run or when the engine's cache is disabled.
-  /// Pipelined submits don't update this — each future carries its own
-  /// delta, which is the only well-defined "per run" under concurrency.
-  [[nodiscard]] bem::CongruenceCacheStats last_cache_delta() const {
-    const std::scoped_lock lock(delta_mutex_);
-    return last_cache_delta_;
-  }
-
  private:
-  void record_delta(const bem::CongruenceCacheStats& delta);
-
   Engine* engine_;
   bem::AnalysisOptions options_;
   std::atomic<std::size_t> runs_{0};
-  mutable std::mutex delta_mutex_;
-  bem::CongruenceCacheStats last_cache_delta_{};
 };
 
 }  // namespace ebem::engine

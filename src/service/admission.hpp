@@ -6,8 +6,9 @@
 // front door must never do that — a tenant at quota gets an immediate,
 // typed rejection (the 429 family) while other tenants keep flowing. So the
 // controller keeps its own ledgers: per-tenant outstanding counts (admitted
-// at submit, retired at harvest — strictly after the run is terminal, which
-// is why the engine-level bound can never actually block underneath it), a
+// at submit, retired by the run's completion callback — strictly after the
+// scheduler retired the run, which is why the engine-level bound can never
+// actually block underneath it), a
 // sliding rate window per tenant, and one global outstanding bound shared
 // by everyone. Every rejection is tallied on the tenant's CostAccount.
 #pragma once
@@ -40,12 +41,12 @@ class AdmissionController {
   /// shutting_down, model_too_large, quota_exceeded (at — or with a zero —
   /// outstanding quota), rate_limited, overloaded (global bound). On
   /// success the tenant's and the global outstanding counts are up; the
-  /// caller owes a retire() once the run is harvested. Rejections are
+  /// caller owes a retire() once the run is billed. Rejections are
   /// recorded on the tenant's account before the throw.
   void admit(TenantSession& session, std::size_t elements);
 
-  /// Release one admitted run (after harvest — the run is terminal and
-  /// billed). Balanced with admit() by the dispatcher.
+  /// Release one admitted run (the run is terminal and billed). Balanced
+  /// with admit() by the dispatcher.
   void retire(TenantSession& session);
 
   /// Stop admitting: every subsequent admit() throws shutting_down.

@@ -173,7 +173,7 @@ struct ModelSpec {
 
 /// submit_analysis / submit_factor_solve: run one model for this tenant.
 /// factor_solve runs assemble+factor through Engine::submit_factor and
-/// answers the unit-GPR right-hand side by substitution at harvest — same
+/// answers the unit-GPR right-hand side by substitution on completion — same
 /// numbers as the analysis path, exercising the FactoredSystem surface.
 struct SubmitRequest {
   std::string tenant;
@@ -198,7 +198,7 @@ struct StatsRequest {
   std::optional<std::string> tenant;
 };
 
-/// shutdown: stop admitting, drain every tenant engine, flush the accounts.
+/// shutdown: stop admitting, wait until every admitted run is billed.
 /// Stats and reports stay answerable afterwards.
 struct ShutdownRequest {};
 

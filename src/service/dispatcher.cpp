@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cmath>
 #include <exception>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -12,21 +13,8 @@
 
 namespace ebem::service {
 
-namespace {
-
-using std::chrono::milliseconds;
-
-/// How long the harvester parks on each in-flight future per sweep. Small
-/// enough to notice any of many runs turning terminal promptly, large
-/// enough that an idle sweep costs no measurable CPU.
-constexpr milliseconds kHarvestPollInterval{2};
-
-}  // namespace
-
 Dispatcher::Dispatcher(const ServiceConfig& config)
-    : registry_(config), admission_(config.resolved_global_outstanding()) {
-  harvester_ = std::thread([this] { harvester_loop(); });
-}
+    : admission_(config.resolved_global_outstanding()), registry_(config) {}
 
 Dispatcher::~Dispatcher() { shutdown(); }
 
@@ -66,31 +54,48 @@ std::string Dispatcher::handle_submit(const SubmitRequest& request) {
   // the engine ever seeing it.
   bem::BemModel model = build_model(request.model);
   const std::size_t elements = model.element_count();
-  admission_.admit(*session, elements);
 
   auto record = std::make_shared<RunRecord>();
   record->session = session;
   record->elements = elements;
   record->factor_solve = request.factor_solve;
+  {
+    // Admission and the unbilled count move together under this lock, so
+    // shutdown() either refuses this run or waits for its bill. The id is
+    // allocated before submitting: the run may end before submit returns.
+    const std::scoped_lock lock(runs_mutex_);
+    admission_.admit(*session, elements);
+    record->id = next_run_id_++;
+    ++unbilled_;
+  }
+
   try {
+    // The callback owns a reference to the record; the scheduler drops it
+    // once the callback has run, so record -> future -> callback -> record
+    // never outlives the run.
     if (request.factor_solve) {
-      record->factor_future =
-          session->engine().submit_factor(std::move(model), session->study().options());
+      engine::FactorFuture future = session->engine().submit_factor(
+          std::move(model), session->study().options(), {},
+          [this, record](engine::FactorFuture done) { complete(*record, std::move(done)); });
+      const std::scoped_lock lock(record->mutex);
+      if (!record->done) record->factor_future = std::move(future);
     } else {
-      record->run_future = session->study().submit(std::move(model));
+      engine::RunFuture future = session->study().submit(
+          std::move(model), {},
+          [this, record](engine::RunFuture done) { complete(*record, std::move(done)); });
+      const std::scoped_lock lock(record->mutex);
+      if (!record->done) record->run_future = std::move(future);
     }
   } catch (...) {
     admission_.retire(*session);
+    settle(/*harvested=*/false);
     throw;
   }
 
   {
     const std::scoped_lock lock(runs_mutex_);
-    record->id = next_run_id_++;
     runs_.emplace(record->id, record);
-    pending_ids_.insert(record->id);
   }
-  runs_cv_.notify_all();
   return submitted_response(record->id, request.tenant, elements);
 }
 
@@ -116,20 +121,18 @@ std::string Dispatcher::handle_report(const ReportRequest& request) {
                        "run " + std::to_string(request.run_id) + " belongs to another tenant");
   }
 
-  const auto timeout = std::chrono::duration_cast<std::chrono::nanoseconds>(
-      milliseconds(request.wait_ms));
-  if (!future_terminal(*record, timeout)) {
-    RunReport report;
-    report.run_id = record->id;
-    report.factor_solve = record->factor_solve;
-    const engine::RunStatus status = record->factor_solve ? record->factor_future.status()
-                                                          : record->run_future.status();
-    report.status = status == engine::RunStatus::kQueued ? "queued" : "running";
-    return report_response(report);
-  }
-  harvest(record);
-  const std::scoped_lock lock(record->mutex);
-  return report_response(record->report);
+  std::unique_lock lock(record->mutex);
+  record->cv.wait_for(lock, std::chrono::milliseconds(request.wait_ms),
+                      [&] { return record->done; });
+  if (record->done) return report_response(record->report);
+  // Unpublished: the submit stored the future before the id was handed out.
+  RunReport report;
+  report.run_id = record->id;
+  report.factor_solve = record->factor_solve;
+  const engine::RunStatus status = record->factor_solve ? record->factor_future.status()
+                                                        : record->run_future.status();
+  report.status = status == engine::RunStatus::kQueued ? "queued" : "running";
+  return report_response(report);
 }
 
 std::string Dispatcher::handle_stats(const StatsRequest& request) {
@@ -180,31 +183,24 @@ std::string Dispatcher::handle_stats(const StatsRequest& request) {
   return Json(std::move(object)).dump();
 }
 
-bool Dispatcher::future_terminal(RunRecord& record, std::chrono::nanoseconds timeout) {
-  return record.factor_solve ? record.factor_future.wait_for(timeout)
-                             : record.run_future.wait_for(timeout);
-}
-
-RunReport Dispatcher::build_report(RunRecord& record) {
+template <class Future>
+void Dispatcher::complete(RunRecord& record, Future future) {
   RunReport report;
   report.run_id = record.id;
   report.factor_solve = record.factor_solve;
   report.elements = record.elements;
-
-  const PhaseReport& run_phase = record.factor_solve ? record.factor_future.report()
-                                                     : record.run_future.report();
+  const PhaseReport& run_phase = future.report();
   report.assembly_seconds = run_phase.wall_seconds(Phase::kMatrixGeneration);
   report.solve_seconds = run_phase.wall_seconds(Phase::kLinearSolve);
   report.total_seconds = run_phase.total_wall_seconds();
   report.cache_hits = run_phase.counter(bem::kCacheHitsCounter);
   report.cache_misses = run_phase.counter(bem::kCacheMissesCounter);
-
   try {
-    if (record.factor_solve) {
+    if constexpr (std::is_same_v<Future, engine::FactorFuture>) {
       // Answer the unit-GPR problem by substitution, then rescale — exactly
       // finish_analysis()'s arithmetic, so both wire paths agree to the
       // last bit modulo the solver route.
-      engine::FactoredSystem system = record.factor_future.take();
+      engine::FactoredSystem system = future.take();
       std::vector<double> sigma = system.solve();
       const double normalized_current = la::dot(system.rhs(), sigma);
       EBEM_ENSURE(normalized_current > 0.0, "non-positive total leakage current");
@@ -214,7 +210,7 @@ RunReport Dispatcher::build_report(RunRecord& record) {
       la::scal(gpr, sigma);
       report.sigma_l2 = std::sqrt(la::dot(sigma, sigma));
     } else {
-      const bem::AnalysisResult& result = record.run_future.get();
+      const bem::AnalysisResult& result = future.get();
       report.equivalent_resistance = result.equivalent_resistance;
       report.total_current = result.total_current;
       report.sigma_l2 = std::sqrt(la::dot(result.sigma, result.sigma));
@@ -224,99 +220,35 @@ RunReport Dispatcher::build_report(RunRecord& record) {
     report.status = "failed";
     report.error = error.what();
   }
-  return report;
-}
-
-void Dispatcher::harvest(const std::shared_ptr<RunRecord>& record) {
-  {
-    std::unique_lock lock(record->mutex);
-    if (record->harvest == RunRecord::Harvest::kDone) return;
-    if (record->harvest == RunRecord::Harvest::kInProgress) {
-      record->cv.wait(lock, [&] { return record->harvest == RunRecord::Harvest::kDone; });
-      return;
-    }
-    record->harvest = RunRecord::Harvest::kInProgress;
-  }
-
-  // Slow work (a factor+solve harvest runs substitutions) happens with no
-  // dispatcher-wide lock held; only this thread owns the claim.
-  RunReport report = build_report(*record);
-  const bool failed = report.status == "failed";
-
-  {
-    const std::scoped_lock lock(record->mutex);
-    record->report = std::move(report);
-    record->harvest = RunRecord::Harvest::kDone;
-  }
-  record->cv.notify_all();
 
   // Bill the run's own PhaseReport — the same numbers the engine's session
-  // report received — and release the admission slot last, so "outstanding"
-  // can never undercount live work.
-  const PhaseReport& run_phase = record->factor_solve ? record->factor_future.report()
-                                                      : record->run_future.report();
-  record->session->account().bill_run(run_phase, record->elements, failed);
-  admission_.retire(*record->session);
+  // report received — and release the admission slot before publishing, so
+  // a client that reads "done" also sees the bill and the free slot.
+  record.session->account().bill_run(run_phase, record.elements, report.status == "failed");
+  admission_.retire(*record.session);
 
   {
-    const std::scoped_lock lock(runs_mutex_);
-    pending_ids_.erase(record->id);
-    ++runs_harvested_;
+    const std::scoped_lock lock(record.mutex);
+    record.report = std::move(report);
+    record.done = true;
+    record.run_future = {};
+    record.factor_future = {};
   }
-  runs_cv_.notify_all();
+  record.cv.notify_all();
+  settle(/*harvested=*/true);
 }
 
-void Dispatcher::harvester_loop() {
-  std::unique_lock lock(runs_mutex_);
-  while (!stop_harvester_) {
-    if (pending_ids_.empty()) {
-      runs_cv_.wait(lock, [&] { return stop_harvester_ || !pending_ids_.empty(); });
-      continue;
-    }
-    std::vector<std::shared_ptr<RunRecord>> pending;
-    pending.reserve(pending_ids_.size());
-    for (const std::uint64_t id : pending_ids_) pending.push_back(runs_.at(id));
-    lock.unlock();
-    for (const std::shared_ptr<RunRecord>& record : pending) {
-      if (future_terminal(*record, kHarvestPollInterval)) harvest(record);
-    }
-    lock.lock();
-  }
+void Dispatcher::settle(bool harvested) {
+  const std::scoped_lock lock(runs_mutex_);
+  if (harvested) ++runs_harvested_;
+  if (--unbilled_ == 0) settled_cv_.notify_all();
 }
 
 void Dispatcher::shutdown() {
-  {
-    const std::scoped_lock lock(runs_mutex_);
-    if (shut_down_) return;
-    shut_down_ = true;
-  }
+  std::unique_lock lock(runs_mutex_);
+  shut_down_ = true;
   admission_.begin_shutdown();
-  // Drain every tenant engine: all submitted runs reach a terminal state.
-  for (TenantSession* session : registry_.sessions()) session->engine().drain();
-  // Harvest (and bill) whatever the harvester has not claimed yet.
-  std::vector<std::shared_ptr<RunRecord>> pending;
-  {
-    const std::scoped_lock lock(runs_mutex_);
-    pending.reserve(pending_ids_.size());
-    for (const std::uint64_t id : pending_ids_) pending.push_back(runs_.at(id));
-  }
-  for (const std::shared_ptr<RunRecord>& record : pending) harvest(record);
-  {
-    const std::scoped_lock lock(runs_mutex_);
-    stop_harvester_ = true;
-  }
-  runs_cv_.notify_all();
-  if (harvester_.joinable()) harvester_.join();
-  // A submit that slipped past admission before begin_shutdown() may have
-  // landed after the sweep above; bill those stragglers too.
-  pending.clear();
-  {
-    const std::scoped_lock lock(runs_mutex_);
-    for (const std::uint64_t id : pending_ids_) pending.push_back(runs_.at(id));
-  }
-  for (const std::shared_ptr<RunRecord>& record : pending) {
-    if (future_terminal(*record, std::chrono::seconds(60))) harvest(record);
-  }
+  settled_cv_.wait(lock, [&] { return unbilled_ == 0; });
 }
 
 DispatcherStats Dispatcher::stats() {

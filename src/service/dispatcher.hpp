@@ -5,16 +5,21 @@
 // connection threads (socket server) or in-process callers (loopback) share
 // it. Behind handle() sit the TenantRegistry (per-tenant engines + warm
 // caches), the AdmissionController (typed rejections in front of every
-// submit), a run table of in-flight futures, and a harvester thread that
-// watches those futures with deadlines (FutureBase::wait_for), publishes
-// each terminal run's RunReport, bills the tenant's CostAccount with the
-// run's PhaseReport, and retires the admission slot — billing happens
-// whether or not a client ever asks for the report.
+// submit) and a table of submitted runs.
+//
+// The dispatcher owns no thread. Every submit hands the engine a completion
+// callback, which the engine's executor invokes once when the run ends. It
+// builds the run's RunReport, bills the tenant's CostAccount with the
+// run's PhaseReport, retires the admission slot, and only then publishes
+// the report — so a client that reads "done" also sees the bill and the
+// free slot, and billing happens whether or not a client ever asks.
+// get_report with a wait parks on the run record's own condition variable
+// until the report is published.
 //
 // shutdown() is graceful and idempotent: stop admitting (typed
-// shutting_down rejections), drain every tenant engine, harvest and bill
-// everything still in flight, then join the harvester. Reports and stats
-// stay answerable after shutdown — the bill outlives the work.
+// shutting_down rejections), then wait until every admitted run is billed.
+// Reports and stats stay answerable after shutdown — the bill outlives the
+// work.
 #pragma once
 
 #include <condition_variable>
@@ -23,10 +28,8 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <string_view>
-#include <thread>
 
 #include "src/engine/scheduler.hpp"
 #include "src/service/admission.hpp"
@@ -58,9 +61,9 @@ class Dispatcher {
   /// any number of threads concurrently.
   [[nodiscard]] std::string handle(std::string_view line);
 
-  /// Graceful stop: reject new submits, drain every tenant engine, harvest
-  /// and bill all in-flight runs, join the harvester. Idempotent; stats and
-  /// get_report keep answering afterwards.
+  /// Graceful stop: reject new submits, then wait until every admitted run
+  /// is billed and its report published. Idempotent; stats and get_report
+  /// keep answering afterwards.
   void shutdown();
 
   [[nodiscard]] DispatcherStats stats();
@@ -69,56 +72,49 @@ class Dispatcher {
   [[nodiscard]] AdmissionController& admission() { return admission_; }
 
  private:
-  /// One submitted run: its future, its identity, and the harvest state
-  /// machine. The record-level mutex serializes harvest claiming between
-  /// the harvester thread and a waiting get_report — whichever sees the
-  /// future turn terminal first does the (possibly slow) harvest work
-  /// without holding any dispatcher-wide lock.
+  /// One submitted run: its identity, its future while the report is
+  /// unpublished (for queued/running polls), and the published report.
   struct RunRecord {
     std::uint64_t id = 0;
     TenantSession* session = nullptr;
     std::size_t elements = 0;
     bool factor_solve = false;
-    engine::RunFuture run_future;
-    engine::FactorFuture factor_future;
 
     std::mutex mutex;
-    std::condition_variable cv;
-    enum class Harvest { kPending, kInProgress, kDone } harvest = Harvest::kPending;
-    RunReport report;  ///< published payload, valid once harvest == kDone
+    std::condition_variable cv;  ///< the report was published
+    engine::RunFuture run_future;        ///< dropped on publish
+    engine::FactorFuture factor_future;  ///< dropped on publish
+    bool done = false;
+    RunReport report;  ///< valid once done
   };
 
   std::string handle_submit(const SubmitRequest& request);
   std::string handle_report(const ReportRequest& request);
   std::string handle_stats(const StatsRequest& request);
 
-  /// True when the record's future is terminal (waiting up to `timeout`).
-  static bool future_terminal(RunRecord& record, std::chrono::nanoseconds timeout);
+  /// The completion callback of every submitted run, on the engine's
+  /// executor: build the report, bill, retire the admission slot, publish,
+  /// count.
+  template <class Future>
+  void complete(RunRecord& record, Future future);
 
-  /// Claim and perform the harvest if still pending; wait for the claimant
-  /// otherwise. On return the record's report is published and the run is
-  /// billed + retired. Requires the future to be terminal.
-  void harvest(const std::shared_ptr<RunRecord>& record);
+  /// One run left the unbilled set (billed, or never reached the engine).
+  void settle(bool harvested);
 
-  /// Build the published RunReport from a terminal future (analysis or
-  /// factor+solve flavor) — the only place wire numbers are derived.
-  RunReport build_report(RunRecord& record);
-
-  void harvester_loop();
-
-  TenantRegistry registry_;
   AdmissionController admission_;
 
   std::mutex runs_mutex_;
-  std::condition_variable runs_cv_;  ///< new work / shutdown for the harvester
+  std::condition_variable settled_cv_;  ///< unbilled_ reached zero
   std::map<std::uint64_t, std::shared_ptr<RunRecord>> runs_;
-  std::set<std::uint64_t> pending_ids_;  ///< not yet harvested
   std::uint64_t next_run_id_ = 1;
   std::uint64_t runs_harvested_ = 0;
-  bool stop_harvester_ = false;
+  std::size_t unbilled_ = 0;  ///< admitted runs whose callback has not settled
   bool shut_down_ = false;
 
-  std::thread harvester_;
+  // Declared last, so destroyed first: the tenant engines join their
+  // executors — and with them every completion callback — while the state
+  // those callbacks touch is still alive.
+  TenantRegistry registry_;
 };
 
 }  // namespace ebem::service

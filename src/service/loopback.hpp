@@ -3,7 +3,7 @@
 // Drives a Dispatcher through the exact byte path the socket server uses —
 // LineBuffer framing in, one response line out — with no file descriptors
 // involved. This is what unit tests and the service bench run against: the
-// whole service core (codec, admission, tenants, harvest, billing) under
+// whole service core (codec, admission, tenants, completion, billing) under
 // test, deterministically, with the transport reduced to a function call.
 // Any number of LoopbackClients may share one Dispatcher from concurrent
 // threads — that *is* the many-connections test.

@@ -53,9 +53,10 @@ TenantSession::TenantSession(const TenantConfig& config, par::ThreadPool* shared
   }
   execution.pipeline_width = pipeline_width;
   // Engine-level backstop: admission rejects at the quota before this bound
-  // could ever block the submitting thread (admission outstanding is
-  // retired at harvest, strictly after the run turns terminal, so it always
-  // dominates the scheduler's non-terminal count).
+  // could ever block the submitting thread. Admission outstanding is
+  // retired by the run's completion callback, which the scheduler invokes
+  // only after it has retired the run itself, so admission outstanding
+  // always dominates the scheduler's non-terminal count.
   execution.max_pending_runs = config.quotas.max_outstanding_runs;
   engine_ = std::make_unique<engine::Engine>(execution);
 

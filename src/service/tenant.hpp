@@ -43,7 +43,7 @@ namespace ebem::service {
 /// rejected — the way an operator suspends a tenant without unregistering
 /// it and losing its bill.
 struct TenantQuotas {
-  /// Runs submitted but not yet harvested. 0 rejects every submit.
+  /// Runs submitted but not yet billed. 0 rejects every submit.
   std::size_t max_outstanding_runs = 4;
   /// Meshed element count bound per model; checked after meshing, before
   /// the engine sees the run. 0 = unlimited.

@@ -2,8 +2,7 @@
 // every batch size, the log1p formulation vs the asinh reference, the
 // branch-free transcendentals vs libm, the fused image sweep vs its
 // term-by-term reference across series lengths (both sides of the
-// vectorize-over-terms threshold), the mixed-precision tail's documented
-// bound and off-by-default contract, and congruence-cache replay through the
+// vectorize-over-terms threshold), and congruence-cache replay through the
 // batched entry points down to the far-field sampling counters.
 #include <gtest/gtest.h>
 
@@ -142,7 +141,6 @@ ImageSegmentSweep synthetic_sweep(std::size_t terms, double decay) {
     sweep.weight.push_back(weight);
     weight *= -decay;
   }
-  sweep.tail_begin = terms;
   return sweep;
 }
 
@@ -171,36 +169,6 @@ TEST(ImageSweep, MatchesReferenceAcrossSeriesLengths) {
   }
 }
 
-TEST(ImageSweep, MixedTailWithinDocumentedBound) {
-  // Float tail over the terms whose |weight| < 1e-5 of the largest: the
-  // sweep-level deviation from the all-double sweep must stay within the
-  // single-precision budget those weights can carry (~1e-9 relative of the
-  // head's scale; 1e-7 leaves contraction headroom, matching bench_kernels).
-  ImageSegmentSweep sweep = synthetic_sweep(130, 0.82);
-  std::size_t cut = sweep.size();
-  for (std::size_t t = 0; t < sweep.size(); ++t) {
-    if (std::abs(sweep.weight[t]) < 1e-5) {
-      cut = t;
-      break;
-    }
-  }
-  ASSERT_LT(cut, sweep.size());
-
-  const std::size_t count = 9;
-  const Soa soa(field_cloud(count));
-  std::vector<double> full0(count, 0.0), full1(count, 0.0);
-  accumulate_image_sweep(sweep, soa.xs.data(), soa.ys.data(), soa.zs.data(), count, true,
-                         full0.data(), full1.data());
-  sweep.tail_begin = cut;
-  std::vector<double> mixed0(count, 0.0), mixed1(count, 0.0);
-  accumulate_image_sweep(sweep, soa.xs.data(), soa.ys.data(), soa.zs.data(), count, true,
-                         mixed0.data(), mixed1.data());
-  for (std::size_t q = 0; q < count; ++q) {
-    EXPECT_NEAR(mixed0[q], full0[q], 1e-7 * (std::abs(full0[q]) + 1.0));
-    EXPECT_NEAR(mixed1[q], full1[q], 1e-7 * (std::abs(full1[q]) + 1.0));
-  }
-}
-
 bem::BemModel grid_model(std::size_t cells_x, std::size_t cells_y,
                          const soil::LayeredSoil& soil) {
   geom::RectGridSpec spec;
@@ -209,37 +177,6 @@ bem::BemModel grid_model(std::size_t cells_x, std::size_t cells_y,
   spec.cells_x = cells_x;
   spec.cells_y = cells_y;
   return bem::BemModel(geom::Mesh::build(geom::make_rect_grid(spec)), soil);
-}
-
-TEST(MixedTail, OffByDefaultAndBoundedAtAssemblyLevel) {
-  ASSERT_EQ(IntegratorOptions{}.mixed_tail_threshold, 0.0);
-  const BemModel model = grid_model(4, 4, soil::LayeredSoil::two_layer(0.005, 0.016, 1.0));
-  const AssemblyResult plain = assemble(model);
-
-  // threshold 0 is the same code path as the default — bitwise identical.
-  AssemblyOptions zero;
-  zero.integrator.mixed_tail_threshold = 0.0;
-  const AssemblyResult explicit_zero = assemble(model, zero);
-  const auto plain_packed = plain.matrix.packed();
-  const auto zero_packed = explicit_zero.matrix.packed();
-  ASSERT_EQ(plain_packed.size(), zero_packed.size());
-  for (std::size_t k = 0; k < plain_packed.size(); ++k) {
-    EXPECT_EQ(plain_packed[k], zero_packed[k]);
-  }
-
-  // The documented assembly-level bound at the 1e-5 threshold.
-  AssemblyOptions mixed;
-  mixed.integrator.mixed_tail_threshold = 1e-5;
-  const AssemblyResult tail = assemble(model, mixed);
-  const auto tail_packed = tail.matrix.packed();
-  double worst = 0.0;
-  for (std::size_t k = 0; k < plain_packed.size(); ++k) {
-    worst = std::max(worst,
-                     std::abs(plain_packed[k] - tail_packed[k]) /
-                         (std::abs(plain_packed[k]) + 1e-300));
-  }
-  EXPECT_GT(worst, 0.0);  // the tail really ran in single precision
-  EXPECT_LE(worst, 1e-9);
 }
 
 BemElement make_element(Vec3 a, Vec3 b, double radius = 0.006) {

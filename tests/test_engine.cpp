@@ -217,11 +217,10 @@ TEST(Engine, PhysicsChangeDropsTheWarmCache) {
 
   Engine engine;
   Study study(engine);
-  (void)study.analyze(uniform);
+  const bem::CongruenceCacheStats uniform_delta = study.analyze(uniform).cache_stats;
   const std::size_t entries_after_uniform = engine.cache_stats().entries;
   EXPECT_GT(entries_after_uniform, 0u);
-  const std::size_t uniform_lookups =
-      study.last_cache_delta().hits + study.last_cache_delta().misses;
+  const std::size_t uniform_lookups = uniform_delta.hits + uniform_delta.misses;
 
   const bem::AnalysisResult warm_layered = study.analyze(layered);
   // Wrong replays would show up as a grossly different resistance.
@@ -230,7 +229,7 @@ TEST(Engine, PhysicsChangeDropsTheWarmCache) {
   // Per-run delta accounting must survive the fingerprint drop: the layered
   // run's counters are its own (no wrap-around, no leftover zeros), and its
   // misses reflect the emptied cache.
-  const bem::CongruenceCacheStats delta = study.last_cache_delta();
+  const bem::CongruenceCacheStats delta = warm_layered.cache_stats;
   const std::size_t pairs = layered.element_count() * (layered.element_count() + 1) / 2;
   EXPECT_EQ(delta.hits + delta.misses, pairs);
   EXPECT_GT(delta.misses, 0u);
@@ -353,8 +352,7 @@ TEST(Study, WarmHitRateBeatsColdStartOnTheUniformBenchLadder) {
   std::size_t previous_entries = 0;
   for (const std::size_t cells : {3u, 4u, 5u}) {
     const bem::BemModel model = bench_model(cells);
-    (void)study.analyze(model);
-    const bem::CongruenceCacheStats warm = study.last_cache_delta();
+    const bem::CongruenceCacheStats warm = study.analyze(model).cache_stats;
 
     bem::CongruenceCache cold_cache;
     const bem::AssemblyResult cold = bem::assemble(model, {}, {.cache = &cold_cache});
@@ -386,10 +384,12 @@ TEST(Study, FactorGoesThroughTheWarmCache) {
   Engine engine;
   Study study(engine);
   (void)study.analyze(bench_model(3));
+  const bem::CongruenceCacheStats before = engine.cache_stats();
   const FactoredSystem system = study.factor(bench_model(3));
+  const bem::CongruenceCacheStats after = engine.cache_stats();
   // The second pass over the same model replays everything.
-  EXPECT_EQ(study.last_cache_delta().misses, 0u);
-  EXPECT_GT(study.last_cache_delta().hits, 0u);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_GT(after.hits, before.hits);
   EXPECT_GT(system.size(), 0u);
 }
 

@@ -3,12 +3,16 @@
 // blocking and serial references at every thread count, warm-cache
 // correctness under concurrent submits (shared hits; deferred
 // physics-fingerprint clear), per-run override validation at submit time,
-// error propagation and cancellation, and the thread-safety of the
-// PhaseReport sink the concurrent runs merge into.
+// error propagation and cancellation, the thread-safety of the PhaseReport
+// sink the concurrent runs merge into, and the completion callback contract
+// (once per run, on every ending, no cycles).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
+#include <memory>
+#include <thread>
 #include <vector>
 
 #include "src/bem/analysis.hpp"
@@ -80,38 +84,157 @@ TEST(Scheduler, EmptyFutureThrowsOnEveryAccessor) {
   EXPECT_THROW((void)empty.ready(), ebem::InvalidArgument);
   EXPECT_THROW(empty.wait(), ebem::InvalidArgument);
   EXPECT_THROW((void)empty.get(), ebem::InvalidArgument);
-  EXPECT_THROW((void)empty.wait_for(std::chrono::milliseconds(1)), ebem::InvalidArgument);
 }
 
-TEST(Scheduler, WaitForTimesOutOnAQueuedRunThenSeesItTerminal) {
+TEST(Scheduler, QueuedRunBehindABusyWidthOneEngineIsNotReady) {
   // Width 1 serializes runs: while the first (deliberately large) run
-  // assembles, the second is stuck queued, so a short wait_for on it must
-  // time out rather than block — the deadline-polling contract the service
-  // dispatcher's harvest loop is built on.
+  // assembles, the second is stuck queued, so ready() must say no rather
+  // than block; wait() then sees it through to done.
   ExecutionConfig config;
   config.pipeline_width = 1;
   Engine engine(config);
   RunFuture slow = engine.submit(bench_model(14));
   RunFuture queued = engine.submit(bench_model(2));
 
-  EXPECT_FALSE(queued.wait_for(std::chrono::milliseconds(1)));
-  EXPECT_FALSE(queued.wait_for(std::chrono::nanoseconds::zero()));  // pure poll
   EXPECT_FALSE(queued.ready());
 
-  EXPECT_TRUE(slow.wait_for(std::chrono::minutes(1)));
-  EXPECT_TRUE(queued.wait_for(std::chrono::minutes(1)));
+  slow.wait();
+  queued.wait();
+  EXPECT_TRUE(queued.ready());
   EXPECT_EQ(queued.status(), RunStatus::kDone);
-  // Terminal now: wait_for is a cheap true at any timeout, including zero.
-  EXPECT_TRUE(queued.wait_for(std::chrono::nanoseconds::zero()));
   EXPECT_GT(queued.get().equivalent_resistance, 0.0);
 }
 
-TEST(Scheduler, WaitForWorksOnFactorFuturesToo) {
+TEST(Scheduler, FactorFuturesAreWaitable) {
   Engine engine;
   FactorFuture future = engine.submit_factor(bench_model(3));
-  EXPECT_TRUE(future.wait_for(std::chrono::minutes(1)));
+  future.wait();
+  EXPECT_TRUE(future.ready());
   const FactoredSystem system = future.take();
   EXPECT_GT(system.size(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Completion callbacks
+// ---------------------------------------------------------------------------
+
+TEST(Scheduler, CompletionCallbackFiresOnceForADoneRun) {
+  std::atomic<int> analysis_calls{0};
+  std::atomic<int> factor_calls{0};
+  std::atomic<bool> analysis_ok{false};
+  std::atomic<bool> factor_ok{false};
+  {
+    Engine engine;
+    RunFuture future = engine.submit(bench_model(3), {}, {}, [&](RunFuture done) {
+      // Terminal, published and readable from inside the callback.
+      analysis_ok = done.ready() && done.status() == RunStatus::kDone &&
+                    done.get().equivalent_resistance > 0.0;
+      analysis_calls.fetch_add(1);
+    });
+    FactorFuture factor = engine.submit_factor(bench_model(3), {}, {}, [&](FactorFuture done) {
+      factor_ok = done.status() == RunStatus::kDone && done.take().size() > 0;
+      factor_calls.fetch_add(1);
+    });
+    EXPECT_GT(future.get().equivalent_resistance, 0.0);
+    factor.wait();
+  }
+  EXPECT_EQ(analysis_calls.load(), 1);
+  EXPECT_EQ(factor_calls.load(), 1);
+  EXPECT_TRUE(analysis_ok.load());
+  EXPECT_TRUE(factor_ok.load());
+}
+
+TEST(Scheduler, CompletionCallbackFiresOnceForAFailedRun) {
+  // The one-iteration CG failure of StageFailureIsRethrownByTheFuture.
+  ExecutionConfig config;
+  config.solver = bem::SolverKind::kPcg;
+  config.cg_max_iterations = 1;
+  std::atomic<int> calls{0};
+  std::atomic<bool> rethrows{false};
+  {
+    Engine engine(config);
+    RunFuture future = engine.submit(bench_model(3), {}, {}, [&](RunFuture done) {
+      EXPECT_EQ(done.status(), RunStatus::kFailed);
+      try {
+        (void)done.get();
+      } catch (const ebem::InvalidArgument&) {
+        rethrows = true;
+      }
+      calls.fetch_add(1);
+    });
+    future.wait();
+    EXPECT_EQ(future.status(), RunStatus::kFailed);
+  }
+  EXPECT_EQ(calls.load(), 1);
+  EXPECT_TRUE(rethrows.load());
+}
+
+TEST(Scheduler, CompletionCallbackFiresOnceForARunCancelledWhileQueued) {
+  ExecutionConfig config;
+  config.pipeline_width = 1;  // one executor: the second submit provably queues
+  std::atomic<int> calls{0};
+  std::atomic<bool> saw_cancelled{false};
+  {
+    Engine engine(config);
+    RunFuture slow = engine.submit(bench_model(10));
+    RunFuture queued = engine.submit(bench_model(2), {}, {}, [&](RunFuture done) {
+      saw_cancelled = done.status() == RunStatus::kCancelled;
+      calls.fetch_add(1);
+    });
+    ASSERT_TRUE(queued.cancel());
+    EXPECT_EQ(queued.status(), RunStatus::kCancelled);
+    // The cancel itself does not run the callback; the executor that pops
+    // the cancelled run does, exactly once.
+    slow.wait();
+  }
+  EXPECT_EQ(calls.load(), 1);
+  EXPECT_TRUE(saw_cancelled.load());
+}
+
+TEST(Scheduler, EngineDestructionReturnsOnlyAfterEveryCallbackRan) {
+  constexpr int kRuns = 6;
+  std::atomic<int> calls{0};
+  {
+    ExecutionConfig config;
+    config.pipeline_width = 2;
+    Engine engine(config);
+    for (int k = 0; k < kRuns; ++k) {
+      (void)engine.submit(bench_model(2), {}, {}, [&calls](RunFuture) {
+        // Slow callbacks: the destructor must still wait for every one.
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        calls.fetch_add(1);
+      });
+    }
+  }
+  EXPECT_EQ(calls.load(), kRuns);
+}
+
+TEST(Scheduler, CallbackHoldingItsFuturesOwnerDoesNotLeak) {
+  // owner -> future -> run -> callback -> owner is a cycle while the run is
+  // pending; the scheduler drops the callback after calling it, which must
+  // break the cycle.
+  struct Owner {
+    RunFuture future;
+  };
+  std::weak_ptr<Owner> watch;
+  std::atomic<bool> fired{false};
+  {
+    ExecutionConfig config;
+    config.pipeline_width = 1;
+    Engine engine(config);
+    // The slow run keeps the owned run queued, so the future is stored in
+    // its owner — closing the cycle — before the callback can fire.
+    RunFuture slow = engine.submit(bench_model(10));
+    auto owner = std::make_shared<Owner>();
+    watch = owner;
+    owner->future = engine.submit(bench_model(2), {}, {},
+                                  [owner, &fired](RunFuture) { fired = true; });
+    owner.reset();
+    EXPECT_FALSE(watch.expired());  // alive through the cycle alone
+    slow.wait();
+  }
+  EXPECT_TRUE(fired.load());
+  EXPECT_TRUE(watch.expired());
 }
 
 TEST(Scheduler, SerialCacheOffPipelineIsBitwiseEqualToTheSerialShim) {

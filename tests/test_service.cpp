@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -445,6 +446,32 @@ TEST(ServiceTenants, ConcurrentSubmitsStayInsideTheBackpressureBound) {
   EXPECT_DOUBLE_EQ(field(stats, "outstanding"), 0.0);
 }
 
+TEST(ServiceTenants, DoneImpliesBilledAndSlotFreeAtQuotaOne) {
+  // The completion callback bills and retires the slot before it publishes
+  // the report: a client that reads "done" must find the run on its bill
+  // and its quota-1 slot free for the very next submit.
+  ServiceConfig config = small_config();
+  config.tenants[0].quotas.max_outstanding_runs = 1;
+  Dispatcher dispatcher(config);
+  LoopbackClient client(dispatcher);
+  TenantSession& acme = *dispatcher.registry().find("acme");
+
+  for (int k = 1; k <= 50; ++k) {
+    const Json submitted = decode_response(client.call(submit_line("acme", 2)));
+    ASSERT_EQ(text(submitted, "type"), "submitted") << "round " << k << ": "
+                                                    << submitted.dump();
+    const Json report =
+        decode_response(client.call(report_line("acme", field(submitted, "run_id"))));
+    ASSERT_EQ(text(report, "status"), "done") << "round " << k;
+    // Probe the ledgers directly first — the narrowest window after "done".
+    ASSERT_EQ(dispatcher.admission().ledger_snapshot(acme).outstanding, 0u) << "round " << k;
+    ASSERT_EQ(acme.account().runs_completed(), static_cast<std::uint64_t>(k)) << "round " << k;
+    const Json stats = decode_response(client.call("{\"type\":\"stats\",\"tenant\":\"acme\"}"));
+    ASSERT_DOUBLE_EQ(field(stats, "runs_completed"), static_cast<double>(k)) << "round " << k;
+    ASSERT_DOUBLE_EQ(field(stats, "outstanding"), 0.0) << "round " << k;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Shutdown
 // ---------------------------------------------------------------------------
@@ -470,6 +497,75 @@ TEST(ServiceShutdown, DrainsInFlightRunsAndKeepsAnsweringStats) {
   // Idempotent.
   EXPECT_EQ(text(decode_response(client.call("{\"type\":\"shutdown\"}")), "type"),
             "shutdown_ok");
+}
+
+TEST(ServiceShutdown, SubmitStormWithNoReportsIsFullyBilledByShutdown) {
+  // Nobody ever asks for a report: billing must still happen, and shutdown
+  // racing the storm must leave no admitted run unbilled.
+  Dispatcher dispatcher(small_config());
+  constexpr std::size_t kThreads = 4;
+  std::atomic<int> acme_accepted{0};
+  std::atomic<int> gadget_accepted{0};
+  std::atomic<double> acme_elements{0.0};
+  std::vector<std::thread> clients;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    clients.emplace_back([&, t] {
+      LoopbackClient client(dispatcher);
+      const std::string tenant = t % 2 == 0 ? "acme" : "gadget";
+      std::atomic<int>& accepted = t % 2 == 0 ? acme_accepted : gadget_accepted;
+      // Storm until the shutdown refuses us (quota rejections just retry).
+      for (;;) {
+        const Json response = decode_response(client.call(submit_line(tenant, 2)));
+        if (text(response, "type") == "submitted") {
+          accepted.fetch_add(1);
+          if (tenant == "acme") acme_elements.fetch_add(field(response, "elements"));
+        } else if (text(response, "code") == "shutting_down") {
+          return;
+        }
+      }
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  dispatcher.shutdown();
+  // Admission is closed, so outstanding can only have been retired.
+  EXPECT_EQ(dispatcher.stats().admission.global_outstanding, 0u);
+  for (std::thread& thread : clients) thread.join();
+
+  const DispatcherStats stats = dispatcher.stats();
+  EXPECT_GT(stats.admission.admitted, 0u);
+  EXPECT_EQ(stats.admission.global_outstanding, 0u);
+  EXPECT_EQ(stats.admission.admitted,
+            static_cast<std::uint64_t>(acme_accepted.load() + gadget_accepted.load()));
+  EXPECT_EQ(stats.runs_harvested, stats.admission.admitted);
+  EXPECT_EQ(stats.runs_tracked, stats.admission.admitted);
+
+  LoopbackClient client(dispatcher);
+  for (const char* tenant : {"acme", "gadget"}) {
+    const Json tenant_stats = decode_response(
+        client.call(std::string("{\"type\":\"stats\",\"tenant\":\"") + tenant + "\"}"));
+    const double accepted = std::string(tenant) == "acme" ? acme_accepted.load()
+                                                          : gadget_accepted.load();
+    EXPECT_DOUBLE_EQ(field(tenant_stats, "runs_completed") + field(tenant_stats, "runs_failed"),
+                     accepted)
+        << tenant;
+    EXPECT_DOUBLE_EQ(field(tenant_stats, "outstanding"), 0.0) << tenant;
+  }
+
+  // The bill is exactly the merge of the per-run reports, read afterwards.
+  double billed_total = 0.0;
+  double billed_elements = 0.0;
+  for (std::uint64_t id = 1; id <= stats.admission.admitted; ++id) {
+    const Json report =
+        decode_response(client.call(report_line("acme", static_cast<double>(id), 0)));
+    if (text(report, "code") == "forbidden") continue;  // gadget's run
+    ASSERT_EQ(text(report, "status"), "done") << report.dump();
+    billed_total += field(report, "total_seconds");
+    billed_elements += field(report, "elements");
+  }
+  const Json acme = decode_response(client.call("{\"type\":\"stats\",\"tenant\":\"acme\"}"));
+  EXPECT_DOUBLE_EQ(field(acme, "elements_billed"), billed_elements);
+  EXPECT_DOUBLE_EQ(billed_elements, acme_elements.load());
+  EXPECT_NEAR(field(acme, "total_seconds"), billed_total, 1e-9);
 }
 
 // ---------------------------------------------------------------------------
