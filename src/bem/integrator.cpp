@@ -311,4 +311,35 @@ std::array<double, 2> Integrator::potential_influence(geom::Vec3 x,
   return inner_integrals(x, source, field_layer);
 }
 
+void Integrator::potential_influences(const BemElement& source, std::size_t field_layer,
+                                      const double* xs, const double* ys, const double* zs,
+                                      std::size_t count, double* out0, double* out1) const {
+  if (options_.inner != InnerIntegration::kAnalytic) {
+    // The quadrature paths have no per-source setup to share.
+    for (std::size_t k = 0; k < count; ++k) {
+      const geom::Vec3 point{xs[k], ys[k], zs[k]};
+      const std::array<double, 2> inner = inner_integrals(point, source, field_layer);
+      out0[k] = inner[0];
+      out1[k] = inner[1];
+    }
+    return;
+  }
+  // The same arithmetic per point as inner_integrals: zeroed accumulators,
+  // one fused sweep, then the prefactor — only the sweep is shared.
+  std::fill(out0, out0 + count, 0.0);
+  std::fill(out1, out1 + count, 0.0);
+  const ImageSegmentSweep& sweep = term_sweep(*image_kernel_, source, field_layer);
+  const bool linear = options_.basis == BasisKind::kLinear;
+  if (options_.segment_eval == SegmentEval::kBatched) {
+    accumulate_image_sweep(sweep, xs, ys, zs, count, linear, out0, out1);
+  } else {
+    accumulate_image_sweep_reference(sweep, xs, ys, zs, count, linear, out0, out1);
+  }
+  const double prefactor = image_kernel_->prefactor(source.layer);
+  for (std::size_t k = 0; k < count; ++k) {
+    out0[k] *= prefactor;
+    out1[k] *= prefactor;
+  }
+}
+
 }  // namespace ebem::bem

@@ -119,6 +119,16 @@ class Integrator {
   [[nodiscard]] std::array<double, 2> potential_influence(geom::Vec3 x,
                                                           const BemElement& source) const;
 
+  /// Batched potential influence: source element alpha's local-DoF
+  /// coefficients at `count` field points (structure of arrays), all of
+  /// which must lie in soil layer `field_layer`. out0[k] / out1[k] equal
+  /// potential_influence(point k, source)[0] / [1] bitwise (out1 is zero for
+  /// a constant basis). The analytic path builds the source's image sweep
+  /// once for the whole batch instead of once per point.
+  void potential_influences(const BemElement& source, std::size_t field_layer, const double* xs,
+                            const double* ys, const double* zs, std::size_t count, double* out0,
+                            double* out1) const;
+
   [[nodiscard]] const IntegratorOptions& options() const { return options_; }
   [[nodiscard]] const soil::PointKernel& kernel() const { return kernel_; }
 

@@ -133,7 +133,7 @@ DesignSearchResult search_design(const soil::LayeredSoil& soil, const DesignGoal
     candidate.resistance = report.equivalent_resistance;
     candidate.cache = report.cache_stats;
 
-    const auto evaluator = pending.system.potential_evaluator();
+    const auto evaluator = pending.system.potential_evaluator({}, eng->pool());
     // Touch exposure exists only where grounded structures stand — inside
     // the site footprint; step exposure extends to the surroundings, so the
     // step patch carries the margin.

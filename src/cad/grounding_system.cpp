@@ -119,13 +119,13 @@ const Report& GroundingSystem::finish_report(const PhaseReport& phases,
 }
 
 post::PotentialEvaluator GroundingSystem::potential_evaluator(
-    const post::PotentialOptions& options) const {
+    const post::PotentialOptions& options, par::ThreadPool* pool) const {
   EBEM_EXPECT(solution_.has_value(), "call analyze() before requesting post-processing");
   post::PotentialOptions merged = options;
   merged.integrator.basis = options_.analysis.assembly.integrator.basis;
   // Normalized solution: sigma at GPR / gpr gives the unit-GPR distribution;
   // the evaluator works with the actual-GPR sigma directly.
-  return post::PotentialEvaluator(model_, solution_->sigma, merged);
+  return post::PotentialEvaluator(model_, solution_->sigma, merged, pool);
 }
 
 const Report& GroundingSystem::report() const {

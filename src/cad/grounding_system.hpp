@@ -82,9 +82,11 @@ class GroundingSystem {
   /// the run's phase timings and its exact per-run cache delta.
   const Report& adopt(engine::RunFuture& future);
 
-  /// Post-processing evaluator over the last analyze() solution.
+  /// Post-processing evaluator over the last analyze() solution. A non-null
+  /// `pool` (typically the engine's) is borrowed and must outlive the
+  /// evaluator; otherwise it owns options.num_threads threads.
   [[nodiscard]] post::PotentialEvaluator potential_evaluator(
-      const post::PotentialOptions& options = {}) const;
+      const post::PotentialOptions& options = {}, par::ThreadPool* pool = nullptr) const;
 
   [[nodiscard]] const bem::BemModel& model() const { return model_; }
   [[nodiscard]] const Report& report() const;

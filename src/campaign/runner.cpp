@@ -5,6 +5,7 @@
 #include <cmath>
 #include <deque>
 #include <map>
+#include <optional>
 #include <utility>
 
 #include "src/bem/element.hpp"
@@ -64,11 +65,15 @@ struct Harvest {
   bem::AnalysisResult result;
   PhaseReport report;
   bem::CongruenceCacheStats cache_delta;
+  std::optional<bem::BemModel> model;  ///< kept for the safety patch
 };
 
 struct Pending {
   std::size_t index = 0;
   engine::RunFuture future;
+  /// A copy of the submitted model when a safety patch will evaluate it
+  /// (the run consumes its own copy; the evaluator borrows this one).
+  std::optional<bem::BemModel> model;
 };
 
 }  // namespace
@@ -90,6 +95,15 @@ CampaignResult Runner::run(const ScenarioSource& source) {
   std::size_t next_submit = 0;
   std::size_t next_commit = 0;
 
+  // The safety step evaluates under the study's own physics — the basis,
+  // integrator, image series and Hankel controls the scenarios were solved
+  // with — on the engine's pool, between the pipelined runs' regions.
+  const bem::AssemblyOptions& assembly = study_->options().assembly;
+  post::PotentialOptions potential;
+  potential.integrator = assembly.integrator;
+  potential.series = assembly.series;
+  potential.hankel = assembly.hankel;
+
   const auto harvest_ready = [&](bool block_on_front) {
     if (block_on_front && !window.empty()) window.front().future.wait();
     for (auto it = window.begin(); it != window.end();) {
@@ -101,6 +115,7 @@ CampaignResult Runner::run(const ScenarioSource& source) {
       h.report = it->future.report();
       h.cache_delta = it->future.cache_delta();
       h.result = it->future.take();  // rethrows a failed scenario
+      h.model = std::move(it->model);
       harvested.emplace(it->index, std::move(h));
       it = window.erase(it);
     }
@@ -115,9 +130,6 @@ CampaignResult Runner::run(const ScenarioSource& source) {
 
     if (options_.safety.has_value()) {
       const SafetyPatch& patch = *options_.safety;
-      // Re-derive the model: the submitted copy died with the run, and the
-      // potential evaluator borrows the model by reference.
-      const bem::BemModel model = source.model(index);
       std::vector<double> sigma = h.result.sigma;
       if (options_.fault_current > 0.0) {
         // sigma came out scaled to the study's fixed GPR; rescale to this
@@ -125,7 +137,8 @@ CampaignResult Runner::run(const ScenarioSource& source) {
         const double factor = scenario_gpr / study_->options().gpr;
         for (double& s : sigma) s *= factor;
       }
-      const post::PotentialEvaluator evaluator(model, std::move(sigma), patch.potential);
+      const post::PotentialEvaluator evaluator(*h.model, std::move(sigma), potential,
+                                               study_->engine().pool());
       post::SafetyCriteria criteria = patch.criteria;
       criteria.soil_resistivity = source.surface_soil_resistivity(index);
       const post::SafetyAssessment assessment =
@@ -160,7 +173,10 @@ CampaignResult Runner::run(const ScenarioSource& source) {
   while (next_commit < total) {
     // Fill the window up to the backpressure bound.
     while (next_submit < total && window.size() < options_.window) {
-      window.push_back({next_submit, study_->submit(source.model(next_submit))});
+      bem::BemModel model = source.model(next_submit);
+      std::optional<bem::BemModel> kept;
+      if (options_.safety.has_value()) kept = model;
+      window.push_back({next_submit, study_->submit(std::move(model)), std::move(kept)});
       ++next_submit;
       out.peak_in_flight = std::max(out.peak_in_flight, window.size());
     }

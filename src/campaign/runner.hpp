@@ -18,6 +18,14 @@
 // percentiles are bit-identical regardless of pipeline width or how
 // completions interleave.
 //
+// Safety step: with a SafetyPatch, each committed scenario's touch/step
+// patch is evaluated under the study's own physics (its basis, integrator,
+// image series and Hankel options — the ones the scenario was solved with)
+// on the model copy kept at submit, by a post::PotentialEvaluator that
+// borrows the engine's pool. The patch therefore runs pool-wide between
+// the pipelined runs' parallel regions instead of serially on the caller's
+// thread, and its values do not depend on the pool's width.
+//
 // Batching note (fingerprint-guard cost): every soil scenario changes the
 // engine's physics fingerprint, so each run drops the warm congruence cache
 // behind a drain of in-flight assemblies — soil sweeps are the guard's
@@ -43,9 +51,9 @@
 namespace ebem::campaign {
 
 /// One scenario batch: anything that can produce its i-th model on demand.
-/// Implementations must be pure (same index, same model) — the runner
-/// re-derives a scenario's model for post-processing after the submitted
-/// copy is consumed.
+/// Implementations must be pure (same index, same model). The runner asks
+/// for each scenario's model exactly once, at submit; with a safety patch it
+/// keeps a copy for post-processing.
 class ScenarioSource {
  public:
   virtual ~ScenarioSource() = default;
@@ -102,6 +110,7 @@ class DamageSweep final : public ScenarioSource {
 };
 
 /// Where and how to assess touch/step safety for every committed scenario.
+/// The potentials are evaluated with the study's physics options.
 struct SafetyPatch {
   double x0 = 0.0, x1 = 0.0;  ///< sampled surface rectangle [m]
   double y0 = 0.0, y1 = 0.0;
@@ -109,7 +118,6 @@ struct SafetyPatch {
   /// Tolerable-limit inputs. criteria.soil_resistivity is overwritten per
   /// scenario with ScenarioSource::surface_soil_resistivity.
   post::SafetyCriteria criteria;
-  post::PotentialOptions potential;
 };
 
 /// Early termination once a watched percentile is known tightly enough.

@@ -155,6 +155,18 @@
 // assembled symbolically once per evaluation and solved for whole
 // quadrature panels on per-thread workspaces (soil/hankel_kernel).
 //
+// Post-processing (post/): post::PotentialEvaluator evaluates eq. (4.2),
+// V(x) = sum_i sigma_i V_i(x), for the surface contours and touch/step
+// safety patches — the paper's second parallel stage. Its batched at(points)
+// cuts the points into chunks that each lie in one soil layer and runs them
+// on a pool; inside a chunk, elements are the outer loop, so each source
+// element's image sweep is built once and evaluated against the whole chunk
+// in one SoA call. Every point keeps the pointwise summation order, so the
+// batched values equal the pointwise at(x) bitwise at any thread count. The
+// evaluator borrows a pool when given one (campaign::Runner and
+// cad::search_design pass the engine's, and the runner evaluates under the
+// study's own physics) and otherwise owns one for its lifetime.
+//
 // Serving the engine (service/): everything above assumes the caller links
 // the library; the service layer puts the same engine behind a network front
 // door instead. The transport is deliberately primitive — line-delimited

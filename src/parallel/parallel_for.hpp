@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
-#include <utility>
 #include <vector>
 
 #include "src/parallel/schedule.hpp"
@@ -97,14 +96,6 @@ void parallel_for(ThreadPool& pool, std::size_t n, const Schedule& schedule, Bod
   parallel_for_chunks(pool, n, schedule, [&body](ChunkRange range, std::size_t) {
     for (std::size_t i = range.begin; i < range.end; ++i) body(i);
   });
-}
-
-/// Convenience: one-shot pool of `num_threads`. Prefer passing a persistent
-/// ThreadPool when calling in a loop — pool construction spawns threads.
-template <typename Body>
-void parallel_for(std::size_t num_threads, std::size_t n, const Schedule& schedule, Body&& body) {
-  ThreadPool pool(num_threads);
-  parallel_for(pool, n, schedule, std::forward<Body>(body));
 }
 
 }  // namespace ebem::par

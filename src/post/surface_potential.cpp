@@ -1,8 +1,10 @@
 #include "src/post/surface_potential.hpp"
 
+#include <algorithm>
+#include <numeric>
+
 #include "src/common/error.hpp"
 #include "src/parallel/parallel_for.hpp"
-#include "src/parallel/thread_pool.hpp"
 #include "src/soil/kernel_factory.hpp"
 
 namespace ebem::post {
@@ -18,17 +20,26 @@ bem::IntegratorOptions evaluator_integrator_options(const bem::BemModel& model,
   return integrator;
 }
 
+/// Chunks per pool thread: enough for dynamic balancing, few enough that
+/// each chunk amortizes its per-element sweep builds over many points.
+constexpr std::size_t kChunksPerThread = 2;
+
 }  // namespace
 
 PotentialEvaluator::PotentialEvaluator(const bem::BemModel& model, std::vector<double> sigma,
-                                       const PotentialOptions& options)
+                                       const PotentialOptions& options, par::ThreadPool* pool)
     : model_(model),
       sigma_(std::move(sigma)),
       options_(options),
       kernel_(soil::make_kernel(model.soil(), options.series, options.hankel)),
-      integrator_(*kernel_, evaluator_integrator_options(model, options)) {
+      integrator_(*kernel_, evaluator_integrator_options(model, options)),
+      pool_(pool) {
   EBEM_EXPECT(sigma_.size() == model.dof_count(options.integrator.basis),
               "sigma size does not match the model's DoF count");
+  if (pool_ == nullptr) {
+    owned_pool_ = std::make_unique<par::ThreadPool>(std::max<std::size_t>(options.num_threads, 1));
+    pool_ = owned_pool_.get();
+  }
 }
 
 double PotentialEvaluator::at(geom::Vec3 x) const {
@@ -47,13 +58,63 @@ double PotentialEvaluator::at(geom::Vec3 x) const {
 std::vector<double> PotentialEvaluator::at(const std::vector<geom::Vec3>& points) const {
   std::vector<double> values(points.size(), 0.0);
   if (points.empty()) return values;
-  if (options_.num_threads <= 1) {
-    for (std::size_t p = 0; p < points.size(); ++p) values[p] = at(points[p]);
-    return values;
+
+  // The image sweep depends on the field layer, so order the points by
+  // layer (stably) and cut chunks that never straddle a layer change.
+  const soil::LayeredSoil& soil = kernel_->soil_model();
+  std::vector<std::size_t> layer(points.size());
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    layer[p] = soil.layer_of(std::min(points[p].z, 0.0));
   }
-  par::ThreadPool pool(options_.num_threads);
-  par::parallel_for(pool, points.size(), options_.schedule,
-                    [&](std::size_t p) { values[p] = at(points[p]); });
+  std::vector<std::size_t> order(points.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) { return layer[a] < layer[b]; });
+  const std::size_t parts = kChunksPerThread * pool_->num_threads();
+  const std::size_t chunk_size = (points.size() + parts - 1) / parts;
+  std::vector<par::ChunkRange> chunks;  // ranges of `order`
+  for (std::size_t begin = 0; begin < order.size();) {
+    std::size_t end = begin + 1;
+    while (end < order.size() && end - begin < chunk_size &&
+           layer[order[end]] == layer[order[begin]]) {
+      ++end;
+    }
+    chunks.push_back({begin, end});
+    begin = end;
+  }
+
+  const bem::BasisKind basis = options_.integrator.basis;
+  const std::size_t locals = model_.local_dof_count(basis);
+  par::parallel_for(*pool_, chunks.size(), par::Schedule::dynamic(1), [&](std::size_t c) {
+    const par::ChunkRange& chunk = chunks[c];
+    const std::size_t chunk_layer = layer[order[chunk.begin]];
+    const std::size_t m = chunk.end - chunk.begin;
+    std::vector<double> scratch(6 * m, 0.0);
+    double* xs = scratch.data();
+    double* ys = xs + m;
+    double* zs = ys + m;
+    double* influence0 = zs + m;
+    double* influence1 = influence0 + m;
+    double* sum = influence1 + m;
+    for (std::size_t k = 0; k < m; ++k) {
+      const geom::Vec3& point = points[order[chunk.begin + k]];
+      xs[k] = point.x;
+      ys[k] = point.y;
+      zs[k] = point.z;
+    }
+    // Elements outer, local DoFs next, points inner: each point's sum sees
+    // the terms in exactly the order at(x) adds them.
+    for (std::size_t e = 0; e < model_.element_count(); ++e) {
+      integrator_.potential_influences(model_.elements()[e], chunk_layer, xs, ys, zs, m,
+                                       influence0, influence1);
+      for (std::size_t q = 0; q < locals; ++q) {
+        const double* influence = q == 0 ? influence0 : influence1;
+        const double s = sigma_[model_.global_dof(basis, e, q)];
+        for (std::size_t k = 0; k < m; ++k) sum[k] += influence[k] * s;
+      }
+    }
+    for (std::size_t k = 0; k < m; ++k) values[order[chunk.begin + k]] = sum[k];
+  });
   return values;
 }
 

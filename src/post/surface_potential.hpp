@@ -1,9 +1,21 @@
 // Potential evaluation at arbitrary points once the leakage current is
 // known — paper eq. (4.2): V(x) = sum_i sigma_i V_i(x).
 //
-// Drawing the earth-surface potential contours of Figs. 5.2/5.4 needs this
-// at thousands of points; the paper names it the second massively
-// parallelizable stage, so evaluation is parallel over points.
+// Drawing the earth-surface potential contours of Figs. 5.2/5.4 and the
+// touch/step safety patches needs this at hundreds to thousands of points;
+// the paper names it the second massively parallelizable stage. The batched
+// at(points) splits the points into chunks that each lie in one soil layer
+// and runs the chunks in parallel. Within a chunk, elements are the outer
+// loop: each source element's image sweep is built once and evaluated
+// against every point of the chunk in one SoA kernel call. Each point still
+// sums sigma_i V_i in element order, then local-DoF order — the order of the
+// pointwise at(x) — so batched values equal the pointwise ones bitwise at
+// any thread count and chunking; at(x) stays as the test oracle.
+//
+// Pool ownership: an evaluator either borrows a pool (the engine's, so the
+// post step shares its session's workers — campaign::Runner and
+// cad::search_design do this) or owns one of PotentialOptions::num_threads
+// threads for its whole lifetime. No evaluation call builds threads.
 #pragma once
 
 #include <cstddef>
@@ -13,7 +25,7 @@
 #include "src/bem/analysis.hpp"
 #include "src/bem/element.hpp"
 #include "src/geom/vec3.hpp"
-#include "src/parallel/schedule.hpp"
+#include "src/parallel/thread_pool.hpp"
 
 namespace ebem::post {
 
@@ -21,20 +33,24 @@ struct PotentialOptions {
   bem::IntegratorOptions integrator;
   soil::SeriesOptions series;
   soil::HankelOptions hankel{.tolerance = 1e-7};  ///< for 3+ layer soils
+  /// Threads of the evaluator's own pool; ignored when a pool is borrowed.
   std::size_t num_threads = 1;
-  par::Schedule schedule = par::Schedule::dynamic(4);
 };
 
 /// Evaluates V at points given a solved leakage distribution.
 class PotentialEvaluator {
  public:
+  /// `pool`, when non-null, is borrowed (it must outlive the evaluator) and
+  /// its thread count overrides options.num_threads; otherwise the
+  /// evaluator owns a pool of options.num_threads threads.
   PotentialEvaluator(const bem::BemModel& model, std::vector<double> sigma,
-                     const PotentialOptions& options = {});
+                     const PotentialOptions& options = {}, par::ThreadPool* pool = nullptr);
 
   /// Potential at one point (x.z <= 0; use z = 0 for the earth surface).
   [[nodiscard]] double at(geom::Vec3 x) const;
 
-  /// Potentials at many points, parallel over points.
+  /// Potentials at many points: layer-pure point chunks in parallel,
+  /// elements outer within a chunk. Bitwise equal to at(x) per point.
   [[nodiscard]] std::vector<double> at(const std::vector<geom::Vec3>& points) const;
 
   /// Potentials on a regular surface grid (z = 0): rows sweep y, columns x.
@@ -61,6 +77,8 @@ class PotentialEvaluator {
   PotentialOptions options_;
   std::unique_ptr<soil::PointKernel> kernel_;
   bem::Integrator integrator_;
+  std::unique_ptr<par::ThreadPool> owned_pool_;  ///< null when the pool is borrowed
+  par::ThreadPool* pool_;
 };
 
 }  // namespace ebem::post

@@ -24,6 +24,7 @@
 #include "src/estimation/wenner.hpp"
 #include "src/fdm/fd_solver.hpp"
 #include "src/geom/grid_builder.hpp"
+#include "src/post/surface_potential.hpp"
 
 namespace ebem::campaign {
 namespace {
@@ -495,6 +496,104 @@ TEST(Runner, DamageSweepSharesTheWarmCache) {
   // Damage can only weaken the grid relative to... nothing monotone per
   // scenario, but every Req must be physical.
   EXPECT_GT(result.resistance.moments().min(), 0.0);
+}
+
+/// Forwards to another source, optionally truncated to its first `size`
+/// scenarios, and counts model() calls per scenario index.
+class CountingSource final : public ScenarioSource {
+ public:
+  CountingSource(const ScenarioSource& inner, std::size_t size) : inner_(inner), calls_(size, 0) {}
+
+  [[nodiscard]] std::size_t size() const override { return calls_.size(); }
+  [[nodiscard]] bem::BemModel model(std::size_t index) const override {
+    ++calls_[index];
+    return inner_.model(index);
+  }
+  [[nodiscard]] double surface_soil_resistivity(std::size_t index) const override {
+    return inner_.surface_soil_resistivity(index);
+  }
+  [[nodiscard]] const std::vector<std::size_t>& calls() const { return calls_; }
+
+ private:
+  const ScenarioSource& inner_;
+  mutable std::vector<std::size_t> calls_;
+};
+
+SafetyPatch small_patch() {
+  SafetyPatch patch;
+  patch.x1 = 15.0;
+  patch.y1 = 15.0;
+  patch.nx = 4;
+  patch.ny = 4;
+  patch.criteria.surface_resistivity = 3000.0;
+  return patch;
+}
+
+DamageSweep small_damage_sweep(std::size_t count) {
+  DamageOptions options;
+  options.mesh.target_element_length = 5.0;
+  const auto soil = soil::LayeredSoil::two_layer(0.005, 0.016, 1.0);
+  return DamageSweep(DamageEnsemble(small_grid(), soil, options, count, 21));
+}
+
+TEST(Runner, SafetyStepUsesTheStudysPhysics) {
+  // A constant basis and a loose image series: the safety patch must be
+  // evaluated with the basis and series the scenario was solved with.
+  bem::AnalysisOptions physics;
+  physics.gpr = 1000.0;
+  physics.assembly.integrator.basis = bem::BasisKind::kConstant;
+  physics.assembly.series.tolerance = 1e-5;
+  engine::ExecutionConfig config;
+  config.num_threads = 2;
+  engine::Engine engine(config);
+  engine::Study study(engine, physics);
+  const DamageSweep sweep = small_damage_sweep(4);
+  const CountingSource first(sweep, 1);
+  CampaignOptions options;
+  options.window = 2;
+  options.safety = small_patch();
+  Runner runner(study, options);
+  const CampaignResult result = runner.run(first);
+  ASSERT_EQ(result.completed, 1u);
+
+  // Hand-built reference for scenario 0 on a separate serial engine.
+  const bem::BemModel model = sweep.model(0);
+  engine::Engine reference_engine;
+  engine::Study reference_study(reference_engine, physics);
+  const bem::AnalysisResult solved = reference_study.analyze(model);
+  post::PotentialOptions potential;
+  potential.integrator = physics.assembly.integrator;
+  potential.series = physics.assembly.series;
+  const post::PotentialEvaluator evaluator(model, solved.sigma, potential);
+  const SafetyPatch& patch = *options.safety;
+  post::SafetyCriteria criteria = patch.criteria;
+  criteria.soil_resistivity = sweep.surface_soil_resistivity(0);
+  const post::SafetyAssessment expected =
+      post::assess_safety(evaluator, physics.gpr, patch.x0, patch.x1, patch.y0, patch.y1,
+                          patch.nx, patch.ny, criteria);
+  const double touch = expected.tolerable_touch - expected.max_touch_voltage;
+  const double step = expected.tolerable_step - expected.max_step_voltage;
+  EXPECT_NEAR(result.touch_margin.moments().min(), touch, 1e-12 * std::abs(touch));
+  EXPECT_NEAR(result.step_margin.moments().min(), step, 1e-12 * std::abs(step));
+}
+
+TEST(Runner, MeshesEachScenarioOnce) {
+  // The safety step evaluates the model copy kept at submit; the source is
+  // never asked to re-derive a scenario.
+  engine::ExecutionConfig config;
+  config.num_threads = 2;
+  engine::Engine engine(config);
+  engine::Study study(engine);
+  const DamageSweep sweep = small_damage_sweep(6);
+  const CountingSource counting(sweep, sweep.size());
+  CampaignOptions options;
+  options.window = 3;
+  options.safety = small_patch();
+  Runner runner(study, options);
+  const CampaignResult result = runner.run(counting);
+  EXPECT_EQ(result.completed, 6u);
+  EXPECT_EQ(result.touch_margin.count(), 6u);
+  EXPECT_EQ(counting.calls(), std::vector<std::size_t>(6, 1));
 }
 
 TEST(Runner, EarlyStopTerminatesOnATightPercentile) {

@@ -83,6 +83,16 @@ TEST(MultiLayer, SurfacePotentialEvaluatorWorks) {
   const double away = evaluator.at({5.0, 50.0, 0.0});
   EXPECT_GT(above, 0.0);
   EXPECT_GT(above, 2.0 * away);
+
+  // The non-analytic (subtracted-quadrature) path batches per point; its
+  // values, in every layer, still equal the pointwise oracle bitwise. One
+  // thread: libstdc++'s cyl_bessel_j writes lgamma's global signgam, which
+  // ThreadSanitizer reports when the spectral kernel runs on several threads.
+  std::vector<geom::Vec3> points;
+  for (int i = 0; i < 6; ++i) points.push_back({1.5 * i, 2.0 - 0.7 * i, -0.45 * i});
+  const std::vector<double> batch = evaluator.at(points);
+  ASSERT_EQ(batch.size(), points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) EXPECT_EQ(batch[i], evaluator.at(points[i]));
 }
 
 TEST(MultiLayer, AnalyticInnerRequestIsRedirected) {

@@ -132,7 +132,8 @@ TEST(ParallelFor, SumReductionMatchesSequential) {
   const double expected = std::accumulate(data.begin(), data.end(), 0.0);
 
   std::atomic<long long> sum_milli{0};
-  parallel_for(4, n, Schedule::guided(2), [&](std::size_t i) {
+  ThreadPool pool(4);
+  parallel_for(pool, n, Schedule::guided(2), [&](std::size_t i) {
     sum_milli.fetch_add(static_cast<long long>(data[i] * 1000.0), std::memory_order_relaxed);
   });
   EXPECT_DOUBLE_EQ(static_cast<double>(sum_milli.load()) / 1000.0, expected);

@@ -7,6 +7,8 @@
 
 #include "src/common/error.hpp"
 #include "src/bem/analysis.hpp"
+#include "src/cad/cases.hpp"
+#include "src/cad/grounding_system.hpp"
 #include "src/common/math_utils.hpp"
 #include "src/geom/grid_builder.hpp"
 #include "src/geom/mesh.hpp"
@@ -83,28 +85,124 @@ TEST(PotentialEvaluator, DecaysMonotonicallyOutsideGrid) {
   }
 }
 
-TEST(PotentialEvaluator, BatchMatchesPointwise) {
-  const Solved solved = solve_square_grid(soil::LayeredSoil::two_layer(0.005, 0.016, 1.0));
-  const PotentialEvaluator evaluator(solved.model, solved.result.sigma);
-  const std::vector<geom::Vec3> points{{0, 0, 0}, {5, 5, 0}, {30, -10, 0}, {10, 10, -0.4}};
+/// Bitwise comparison: the batched path must reproduce the pointwise
+/// oracle's summation exactly, not merely to rounding.
+void expect_bitwise_pointwise(const PotentialEvaluator& evaluator,
+                              const std::vector<geom::Vec3>& points) {
   const std::vector<double> batch = evaluator.at(points);
   ASSERT_EQ(batch.size(), points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
-    EXPECT_DOUBLE_EQ(batch[i], evaluator.at(points[i]));
+    EXPECT_EQ(batch[i], evaluator.at(points[i])) << "point " << i;
+  }
+}
+
+TEST(PotentialEvaluator, BatchMatchesPointwise) {
+  // Two-layer soil with points in both layers (1 m upper layer): the
+  // batched path must keep every chunk within one field layer. Both segment
+  // evaluators take the batched route.
+  const Solved solved = solve_square_grid(soil::LayeredSoil::two_layer(0.005, 0.016, 1.0));
+  std::vector<geom::Vec3> points;
+  for (int i = 0; i < 12; ++i) points.push_back({-4.0 + 2.7 * i, 30.0 - 2.5 * i, -0.3 * (i % 8)});
+  for (const bem::SegmentEval eval :
+       {bem::SegmentEval::kBatched, bem::SegmentEval::kScalarReference}) {
+    PotentialOptions options;
+    options.integrator.segment_eval = eval;
+    options.num_threads = 2;
+    const PotentialEvaluator evaluator(solved.model, solved.result.sigma, options);
+    expect_bitwise_pointwise(evaluator, points);
+    EXPECT_TRUE(evaluator.at(std::vector<geom::Vec3>{}).empty());
   }
 }
 
 TEST(PotentialEvaluator, ParallelEvaluationMatchesSequential) {
+  // Bitwise equal to the pointwise oracle at every width, owned or
+  // borrowed pool.
   const Solved solved = solve_square_grid(soil::LayeredSoil::uniform(0.02));
-  PotentialOptions parallel_options;
-  parallel_options.num_threads = 4;
-  const PotentialEvaluator sequential(solved.model, solved.result.sigma);
-  const PotentialEvaluator parallel(solved.model, solved.result.sigma, parallel_options);
   std::vector<geom::Vec3> points;
-  for (int i = 0; i < 40; ++i) points.push_back({0.7 * i, 0.3 * i, 0.0});
-  const auto a = sequential.at(points);
-  const auto b = parallel.at(points);
-  for (std::size_t i = 0; i < points.size(); ++i) EXPECT_DOUBLE_EQ(a[i], b[i]);
+  for (int i = 0; i < 40; ++i) points.push_back({0.7 * i, 0.3 * i, i % 5 == 0 ? -0.4 : 0.0});
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    PotentialOptions options;
+    options.num_threads = threads;
+    const PotentialEvaluator evaluator(solved.model, solved.result.sigma, options);
+    expect_bitwise_pointwise(evaluator, points);
+    EXPECT_TRUE(evaluator.at(std::vector<geom::Vec3>{}).empty());
+  }
+  par::ThreadPool pool(3);
+  PotentialOptions ignored;
+  ignored.num_threads = 8;  // the borrowed pool's width wins
+  const PotentialEvaluator borrowed(solved.model, solved.result.sigma, ignored, &pool);
+  expect_bitwise_pointwise(borrowed, points);
+}
+
+/// A deterministic, non-trivial leakage distribution: the bitwise contract
+/// concerns the summation order, not the solution, so the paper-scale
+/// models below skip the solve.
+std::vector<double> synthetic_sigma(std::size_t dofs) {
+  std::vector<double> sigma(dofs);
+  for (std::size_t i = 0; i < dofs; ++i) {
+    sigma[i] = 1.0 + 0.25 * std::sin(0.37 * static_cast<double>(i));
+  }
+  return sigma;
+}
+
+/// Surface patch over [x0, x1] x [y0, y1] plus its +1 m step probes and a
+/// few buried points at `depths` — the point mix assess_safety produces.
+std::vector<geom::Vec3> patch_points(double x0, double x1, double y0, double y1,
+                                     const std::vector<double>& depths) {
+  std::vector<geom::Vec3> points;
+  const std::size_t n = 5;
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const double x = x0 + (x1 - x0) * static_cast<double>(i) / (n - 1);
+      const double y = y0 + (y1 - y0) * static_cast<double>(j) / (n - 1);
+      points.push_back({x, y, 0.0});
+      points.push_back({x + 1.0, y, 0.0});
+      if (i == j) {
+        for (const double depth : depths) points.push_back({x + 0.3, y + 0.7, depth});
+      }
+    }
+  }
+  return points;
+}
+
+void expect_bitwise_at_every_width(const bem::BemModel& model,
+                                   const std::vector<geom::Vec3>& points) {
+  const std::vector<double> sigma = synthetic_sigma(model.dof_count(bem::BasisKind::kLinear));
+  for (const std::size_t threads : {1u, 4u}) {
+    PotentialOptions options;
+    options.num_threads = threads;
+    const PotentialEvaluator evaluator(model, sigma, options);
+    expect_bitwise_pointwise(evaluator, points);
+  }
+  par::ThreadPool pool(2);
+  const PotentialEvaluator borrowed(model, sigma, {}, &pool);
+  expect_bitwise_pointwise(borrowed, points);
+}
+
+TEST(PotentialEvaluator, BatchMatchesPointwiseOnBarberaTwoLayer) {
+  const cad::BarberaCase barbera = cad::barbera_case();
+  const cad::GroundingSystem system(barbera.conductors, barbera.two_layer_soil);
+  expect_bitwise_at_every_width(system.model(),
+                                patch_points(-5.0, 94.0, -5.0, 148.0, {-0.5, -2.0}));
+}
+
+TEST(PotentialEvaluator, BatchMatchesPointwiseOnBalaidosC) {
+  // Soil C puts the grid in the upper layer and the rod tips in the lower.
+  const cad::BalaidosCase balaidos = cad::balaidos_case();
+  const cad::GroundingSystem system(balaidos.conductors, balaidos.soil_c);
+  expect_bitwise_at_every_width(system.model(),
+                                patch_points(-5.0, 85.0, -5.0, 65.0, {-0.6, -1.8}));
+}
+
+TEST(PotentialEvaluator, BatchMatchesPointwiseOnCampaignGrid) {
+  geom::RectGridSpec spec;
+  spec.length_x = 50.0;
+  spec.length_y = 50.0;
+  spec.cells_x = 10;
+  spec.cells_y = 10;
+  const bem::BemModel model(geom::Mesh::build(geom::make_rect_grid(spec)),
+                            soil::LayeredSoil::two_layer(0.005, 0.016, 1.0));
+  expect_bitwise_at_every_width(model, patch_points(0.0, 50.0, 0.0, 50.0, {-1.5}));
 }
 
 TEST(PotentialEvaluator, SurfaceGridLayoutAndSymmetry) {
