@@ -15,7 +15,7 @@
 //                every grid and thread count.
 //   --warm       cross-candidate mode: run a ladder of uniform grids of
 //                growing extent (fixed 5 m cell size) through one warm
-//                engine::Study and emit per-candidate hit-rate JSON — the
+//                cache and emit per-candidate hit-rate JSON — the
 //                warm rate of candidate k > 1 vs the cold rate a fresh
 //                cache achieves on the same grid. This is the design_search
 //                reuse pattern in isolation.
@@ -33,8 +33,6 @@
 #include "src/bem/assembly.hpp"
 #include "src/common/resource_usage.hpp"
 #include "src/common/timer.hpp"
-#include "src/engine/engine.hpp"
-#include "src/engine/study.hpp"
 #include "src/geom/grid_builder.hpp"
 #include "src/geom/mesh.hpp"
 #include "src/parallel/thread_pool.hpp"
@@ -75,24 +73,23 @@ bem::BemModel uniform_bench_model(std::size_t cells) {
 }
 
 /// Cross-candidate warm mode: the design_search access pattern — a ladder of
-/// similar grids against one warm engine — reduced to its cache behaviour.
+/// similar grids replaying one warm cache — reduced to its cache behaviour.
 int run_warm_ladder(std::size_t cells) {
   const std::size_t first = cells > 6 ? cells - 6 : 2;
 
-  engine::Engine engine;  // serial, warm cache on: isolates cache effects
+  bem::CongruenceCache warm_cache(bench_soil());  // serial: isolates cache effects
   bool warm_beats_cold = true;
   std::size_t candidate = 0;
   for (std::size_t c = first; c <= cells; c += 2, ++candidate) {
     const bem::BemModel model = uniform_bench_model(c);
 
-    const bem::CongruenceCacheStats before = engine.cache_stats();
     WallTimer warm_timer;
-    (void)engine.assemble(model);
+    const bem::AssemblyResult warm_result = bem::assemble(model, {}, {.cache = &warm_cache});
     const double warm_seconds = warm_timer.seconds();
-    const bem::CongruenceCacheStats warm = engine.cache_stats().delta_since(before);
+    const bem::CongruenceCacheStats warm = warm_result.cache_stats;
 
     // Cold reference: the same candidate against a fresh cache.
-    bem::CongruenceCache cold_cache;
+    bem::CongruenceCache cold_cache(model.soil());
     bem::AssemblyResult cold;
     WallTimer cold_timer;
     cold = bem::assemble(model, {}, {.cache = &cold_cache});
@@ -105,10 +102,10 @@ int run_warm_ladder(std::size_t cells) {
         "\"warm_hits\":%zu,\"warm_misses\":%zu,\"warm_hit_rate\":%.4f,"
         "\"cold_hit_rate\":%.4f,\"cache_entries\":%zu,"
         "\"warm_seconds\":%.6f,\"cold_seconds\":%.6f,"
-        "\"hw_concurrency\":%zu,\"pool_threads\":%zu}\n",
+        "\"hw_concurrency\":%zu,\"pool_threads\":1}\n",
         candidate, c, model.element_count(), warm.hits, warm.misses, warm.hit_rate(),
-        cold_stats.hit_rate(), engine.cache_stats().entries, warm_seconds, cold_seconds,
-        par::hardware_threads(), engine.num_threads());
+        cold_stats.hit_rate(), warm.entries, warm_seconds, cold_seconds,
+        par::hardware_threads());
   }
   if (!warm_beats_cold) {
     std::fprintf(stderr, "bench_cache --warm: a warm candidate did not beat its cold-start "
@@ -196,7 +193,7 @@ int main(int argc, char** argv) {
       // Each repetition owns a cold cache, so the timing includes the
       // signature hashing and warm-up integrations the cache really costs.
       const double seconds_on = best_of(2, [&] {
-        bem::CongruenceCache cache;
+        bem::CongruenceCache cache(grid.model.soil());
         execution.cache = &cache;
         on = bem::assemble(grid.model, {}, execution);
         execution.cache = nullptr;

@@ -125,7 +125,7 @@ bool run_family(const char* family, std::size_t cells, const soil::LayeredSoil& 
   // hashing and warm-up integrations the cache really costs (as in
   // bench_cache); the batched kernels price the misses.
   const double warm_seconds = best_of(2, [&] {
-    bem::CongruenceCache cache;
+    bem::CongruenceCache cache(model.soil());
     bem::AssemblyExecution execution;
     execution.cache = &cache;
     warm = bem::assemble(model, {}, execution);

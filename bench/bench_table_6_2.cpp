@@ -3,10 +3,11 @@
 //
 // Method (DESIGN.md §4.1): the per-column costs of the Barbera two-layer
 // matrix generation are *measured* sequentially, then replayed through an
-// exact model of static/dynamic/guided chunked scheduling. This host has a
-// single core, so wall-clock speed-ups beyond 1 are unobservable; the
-// schedule-induced makespans are the machine-independent content of the
-// table. A real threaded run is included as a numerical cross-check.
+// exact model of static/dynamic/guided chunked scheduling, so the table
+// covers any processor count p. Measured wall-clock speed-ups are
+// observable only for p <= hw_concurrency; the simulated makespans are the
+// machine-independent content of the table. A real threaded run is
+// included as a numerical cross-check.
 #include <cstdio>
 
 #include "src/ebem.hpp"

@@ -81,13 +81,10 @@ int main() {
   print_metric("step margin", soil_report.step_margin, "V");
   std::printf("  violations: %zu touch, %zu step of %zu scenarios\n",
               soil_report.touch_violations, soil_report.step_violations, soil_report.completed);
-  std::printf("  fingerprint-guard cost: %.0f cache drops, %.3f s parked at the gate\n",
-              soil_report.phases.counter(engine::kCacheDropsCounter),
-              soil_report.phases.counter(engine::kGateWaitSecondsCounter));
 
   // --- 4. Damage campaign: corrosion ablations, one fixed physics ---------
-  // Same soil for every scenario, so all scenarios share the warm cache —
-  // compare the hit rate with the soil sweep's counters above.
+  // Same soil for every scenario, so all scenarios share one warm cache
+  // (each soil scenario above started a fresh one).
   campaign::DamageOptions damage;
   damage.max_breaks = 3;
   campaign::Runner damage_runner(study, options);

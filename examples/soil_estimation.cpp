@@ -53,7 +53,7 @@ int main() {
               report.equivalent_resistance, report.total_current / 1e3);
 
   // Cross-check against the ground truth through the same warm engine; the
-  // soil change re-fingerprints the cache automatically.
+  // soil change gives this run a fresh cache automatically.
   cad::GroundingSystem truth_system(geom::make_rect_grid(spec), truth, options);
   const cad::Report& truth_report = truth_system.analyze(engine);
   std::printf("Same grid in the true soil:     Req = %.4f Ohm (fit error %.2f%%)\n",

@@ -112,6 +112,8 @@ std::vector<double> build_rhs(const BemModel& model, BasisKind basis) {
 AssemblyResult assemble(const BemModel& model, const AssemblyOptions& options,
                         const AssemblyExecution& execution) {
   EBEM_EXPECT(execution.num_threads >= 1, "need at least one thread");
+  EBEM_EXPECT(execution.cache == nullptr || execution.cache->serves(model.soil(), options),
+              "congruence cache was built for other physics (soil or assembly options)");
   const BasisKind basis = options.integrator.basis;
   const std::size_t m = model.element_count();
   const std::size_t n = model.dof_count(basis);
@@ -149,10 +151,9 @@ AssemblyResult assemble(const BemModel& model, const AssemblyOptions& options,
 
   // Congruence cache: referenced, never owned — a null cache means the
   // cached element_pair overload degenerates to the plain computation.
-  // Hits/misses are tallied here, per run: the cache's own counters span
-  // its whole lifetime across every (possibly concurrent) run sharing it,
-  // so they cannot attribute lookups to this assembly. One relaxed
-  // fetch_add per pair is noise next to the pair integration itself.
+  // Hits/misses are tallied here, per run, so they stay exact while other
+  // runs share the cache. One relaxed fetch_add per pair is noise next to
+  // the pair integration itself.
   CongruenceCache* cache = execution.cache;
   std::atomic<std::size_t> tally_hits{0};
   std::atomic<std::size_t> tally_misses{0};
@@ -160,7 +161,7 @@ AssemblyResult assemble(const BemModel& model, const AssemblyOptions& options,
     if (cache != nullptr) {
       result.cache_stats.hits = tally_hits.load(std::memory_order_relaxed);
       result.cache_stats.misses = tally_misses.load(std::memory_order_relaxed);
-      result.cache_stats.entries = cache->stats().entries;
+      result.cache_stats.entries = cache->entries();
     }
     result.matrix_tiles = result.matrix.tile_stats();
   };

@@ -35,7 +35,6 @@
 #include "src/la/permutation.hpp"
 #include "src/la/sym_matrix.hpp"
 #include "src/parallel/schedule.hpp"
-#include "src/soil/hankel_kernel.hpp"
 
 namespace ebem::par {
 class ThreadPool;
@@ -54,26 +53,10 @@ enum class Backend {
                 ///< sequential fallback when built without OpenMP
 };
 
-/// Physics and discretization of the Galerkin system — what is integrated.
-/// How the work is executed (threads, schedules, caches) lives in
-/// AssemblyExecution; a single engine::ExecutionConfig resolves to one and
-/// is the recommended way to set it up.
-struct AssemblyOptions {
-  IntegratorOptions integrator;
-  soil::SeriesOptions series;
-  /// Spectral-kernel controls, used only for 3-and-more-layer soils (where
-  /// assembly automatically falls back to the Hankel kernel with inner
-  /// Gauss integration). The loose default reflects that quadrature error
-  /// dominates the spectral tolerance there.
-  soil::HankelOptions hankel{.tolerance = 1e-7};
-
-  friend bool operator==(const AssemblyOptions&, const AssemblyOptions&) = default;
-};
-
 /// Resolved execution plumbing for one assembly: worker resources and the
 /// congruence cache are *referenced*, not owned, so repeated assemblies can
 /// share warm threads and a warm cache (see engine::Engine, which owns both
-/// and hands out a consistent AssemblyExecution). The default is the serial
+/// and keeps one current cache per physics). The default is the serial
 /// cache-less reference path.
 struct AssemblyExecution {
   std::size_t num_threads = 1;
@@ -92,8 +75,8 @@ struct AssemblyExecution {
   bool measure_column_costs = false;
   /// Congruence cache: non-null integrates each distinct pair geometry once
   /// and replays the 2x2 block for congruent copies (see pair_signature.hpp).
-  /// Only valid while soil model and integrator/series options are
-  /// unchanged; stats on the cache are cumulative over its lifetime.
+  /// It must be built for the model's soil and the AssemblyOptions passed
+  /// alongside; assemble() throws ebem::InvalidArgument otherwise.
   CongruenceCache* cache = nullptr;
 };
 
@@ -110,9 +93,8 @@ struct AssemblyResult {
   /// Congruence-cache counters of *this assembly alone* (zeros when the
   /// cache is disabled): hits/misses are tallied per looked-up pair inside
   /// the run, so they stay exact even when several pipelined runs share one
-  /// warm cache concurrently — the shared cache's own stats() are
-  /// lifetime-cumulative across every run that ever touched it. `entries`
-  /// is the shared cache's occupancy right after this assembly.
+  /// warm cache concurrently. `entries` is the shared cache's occupancy
+  /// right after this assembly.
   CongruenceCacheStats cache_stats;
   /// Pager counters of the matrix's tile store over this assembly (zeros
   /// except resident-byte gauges for the in-memory backend).

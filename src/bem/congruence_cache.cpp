@@ -1,27 +1,24 @@
 #include "src/bem/congruence_cache.hpp"
 
+#include <utility>
+
 #include "src/common/error.hpp"
 
 namespace ebem::bem {
 
-CongruenceCache::CongruenceCache(double quantum, std::size_t max_entries)
-    : quantum_(quantum), max_entries_(max_entries) {
+CongruenceCache::CongruenceCache(soil::LayeredSoil soil, const AssemblyOptions& options,
+                                 double quantum, std::size_t max_entries)
+    : soil_(std::move(soil)), options_(options), quantum_(quantum), max_entries_(max_entries) {
   EBEM_EXPECT(quantum > 0.0, "congruence quantum must be positive");
 }
 
 bool CongruenceCache::lookup(const PairSignature& signature, LocalMatrix& block) const {
   const Shard& shard = shard_of(signature);
-  {
-    const std::scoped_lock lock(shard.mutex);
-    const auto it = shard.map.find(signature);
-    if (it != shard.map.end()) {
-      block = it->second;
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return false;
+  const std::scoped_lock lock(shard.mutex);
+  const auto it = shard.map.find(signature);
+  if (it == shard.map.end()) return false;
+  block = it->second;
+  return true;
 }
 
 void CongruenceCache::insert(const PairSignature& signature, const LocalMatrix& block) {
@@ -41,28 +38,6 @@ bool CongruenceCache::lookup(const CanonicalPairSignature& signature, LocalMatri
 
 void CongruenceCache::insert(const CanonicalPairSignature& signature, const LocalMatrix& block) {
   insert(signature.signature, signature.transposed ? transposed(block) : block);
-}
-
-CongruenceCacheStats CongruenceCache::stats() const {
-  CongruenceCacheStats stats;
-  stats.hits = hits_.load(std::memory_order_relaxed);
-  stats.misses = misses_.load(std::memory_order_relaxed);
-  stats.entries = entries_.load(std::memory_order_relaxed);
-  return stats;
-}
-
-void CongruenceCache::drop_entries() {
-  for (Shard& shard : shards_) {
-    const std::scoped_lock lock(shard.mutex);
-    shard.map.clear();
-  }
-  entries_.store(0, std::memory_order_relaxed);
-}
-
-void CongruenceCache::clear() {
-  drop_entries();
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace ebem::bem

@@ -12,9 +12,11 @@
 // both integrate it — both results are identical, the second insert is
 // dropped, and correctness is unaffected.
 //
-// A cache is valid for one kernel + integrator configuration: reuse it
-// across assemblies only when soil model, series/quadrature options and
-// basis are unchanged (congruent geometry alone does not pin the physics).
+// Congruent geometry alone does not pin the block: the soil stack and the
+// integrator/series/Hankel options do too. So a cache is built for one
+// physics — a soil and an AssemblyOptions, compared by exact value — and
+// bem::assemble refuses (ebem::InvalidArgument) a cache built for any
+// other; new physics takes a new cache.
 #pragma once
 
 #include <array>
@@ -26,10 +28,11 @@
 
 #include "src/bem/integrator.hpp"
 #include "src/bem/pair_signature.hpp"
+#include "src/soil/soil_model.hpp"
 
 namespace ebem::bem {
 
-/// Hit/miss/occupancy counters; cumulative over the cache's lifetime.
+/// Hit/miss/occupancy counters of one assembly (or a session's sum of them).
 struct CongruenceCacheStats {
   std::size_t hits = 0;
   std::size_t misses = 0;
@@ -38,20 +41,6 @@ struct CongruenceCacheStats {
   [[nodiscard]] double hit_rate() const {
     const std::size_t total = hits + misses;
     return total > 0 ? static_cast<double>(hits) / static_cast<double>(total) : 0.0;
-  }
-
-  /// Counters accumulated since `before` was snapshotted from the same
-  /// cache — the per-run delta every session consumer (Study, Report,
-  /// design ladder, warm bench) reports. Saturates at zero instead of
-  /// wrapping if the counters were reset (clear()) between the snapshots;
-  /// `entries` is the current occupancy, not a difference.
-  [[nodiscard]] CongruenceCacheStats delta_since(const CongruenceCacheStats& before) const {
-    const auto sub = [](std::size_t now, std::size_t then) {
-      return now >= then ? now - then : std::size_t{0};
-    };
-    return {.hits = sub(hits, before.hits),
-            .misses = sub(misses, before.misses),
-            .entries = entries};
   }
 };
 
@@ -63,15 +52,23 @@ class CongruenceCache {
   /// but misses stop inserting.
   static constexpr std::size_t kDefaultMaxEntries = 1u << 20;
 
-  explicit CongruenceCache(double quantum = kDefaultCongruenceQuantum,
+  /// A cache for the blocks `soil` integrates under `options`.
+  explicit CongruenceCache(soil::LayeredSoil soil, const AssemblyOptions& options = {},
+                           double quantum = kDefaultCongruenceQuantum,
                            std::size_t max_entries = kDefaultMaxEntries);
   CongruenceCache(const CongruenceCache&) = delete;
   CongruenceCache& operator=(const CongruenceCache&) = delete;
 
   [[nodiscard]] double quantum() const { return quantum_; }
 
-  /// On a hit copies the stored block into `block` and returns true (counts
-  /// a hit); on a miss returns false (counts a miss).
+  /// Whether this cache was built for `soil` under `options` — the only
+  /// physics whose blocks it may replay.
+  [[nodiscard]] bool serves(const soil::LayeredSoil& soil, const AssemblyOptions& options) const {
+    return options == options_ && soil == soil_;
+  }
+
+  /// On a hit copies the stored block into `block` and returns true; on a
+  /// miss returns false.
   [[nodiscard]] bool lookup(const PairSignature& signature, LocalMatrix& block) const;
 
   /// Store the block for `signature`; a concurrent duplicate or a full
@@ -85,16 +82,8 @@ class CongruenceCache {
   [[nodiscard]] bool lookup(const CanonicalPairSignature& signature, LocalMatrix& block) const;
   void insert(const CanonicalPairSignature& signature, const LocalMatrix& block);
 
-  [[nodiscard]] CongruenceCacheStats stats() const;
-
-  /// Drop all stored blocks but keep the lifetime hit/miss counters, so
-  /// before/after deltas taken around the drop stay monotonic — what the
-  /// Engine's physics-fingerprint guard needs when the soil or integrator
-  /// options change mid-session.
-  void drop_entries();
-
-  /// Drop all entries and reset the counters (full cold start).
-  void clear();
+  /// Distinct blocks stored.
+  [[nodiscard]] std::size_t entries() const { return entries_.load(std::memory_order_relaxed); }
 
  private:
   static constexpr std::size_t kShards = 64;
@@ -112,11 +101,11 @@ class CongruenceCache {
     return shards_[signature.hash >> 58];
   }
 
+  soil::LayeredSoil soil_;
+  AssemblyOptions options_;
   double quantum_;
   std::size_t max_entries_;
   std::array<Shard, kShards> shards_;
-  mutable std::atomic<std::uint64_t> hits_{0};
-  mutable std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> entries_{0};
 };
 

@@ -15,6 +15,7 @@
 #include <span>
 
 #include "src/bem/element.hpp"
+#include "src/soil/hankel_kernel.hpp"
 #include "src/soil/image_series.hpp"
 #include "src/soil/point_kernel.hpp"
 
@@ -51,6 +52,23 @@ struct IntegratorOptions {
   SegmentEval segment_eval = SegmentEval::kBatched;
 
   friend bool operator==(const IntegratorOptions&, const IntegratorOptions&) = default;
+};
+
+/// Physics and discretization of the Galerkin system — what is integrated
+/// (declared next to the integrator options it extends, so a CongruenceCache
+/// can be bound to it). How the work is executed (threads, schedules,
+/// caches) lives in AssemblyExecution; a single engine::ExecutionConfig
+/// resolves to one and is the recommended way to set it up.
+struct AssemblyOptions {
+  IntegratorOptions integrator;
+  soil::SeriesOptions series;
+  /// Spectral-kernel controls, used only for 3-and-more-layer soils (where
+  /// assembly automatically falls back to the Hankel kernel with inner
+  /// Gauss integration). The loose default reflects that quadrature error
+  /// dominates the spectral tolerance there.
+  soil::HankelOptions hankel{.tolerance = 1e-7};
+
+  friend bool operator==(const AssemblyOptions&, const AssemblyOptions&) = default;
 };
 
 /// Up-to-2x2 elemental matrix block (local test DoF x local trial DoF).

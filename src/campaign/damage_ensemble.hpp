@@ -5,8 +5,9 @@
 // (or double) failures push the design out of tolerance?" — a batch of
 // nearby models derived from one base design, exactly the workload the
 // engine's pipelining scheduler and warm congruence cache are built for
-// (the soil is fixed, so every scenario shares the physics fingerprint and
-// the undamaged majority of each grid replays cached elemental blocks).
+// (the soil is fixed, so every scenario shares one physics, and with it one
+// cache: the undamaged majority of each grid replays cached elemental
+// blocks).
 //
 // Each scenario breaks a seeded, deterministic selection of conductors in
 // one of two ways: *removal* (the conductor disappears — a detached rod or

@@ -26,15 +26,13 @@
 // the pipelined runs' parallel regions instead of serially on the caller's
 // thread, and its values do not depend on the pool's width.
 //
-// Batching note (fingerprint-guard cost): every soil scenario changes the
-// engine's physics fingerprint, so each run drops the warm congruence cache
-// behind a drain of in-flight assemblies — soil sweeps are the guard's
-// worst case and their per-run cost is visible in the campaign report's
-// "Warm cache physics drops" / "Assembly gate wait seconds" counters.
-// Damage sweeps keep the physics fixed and replay the cache; a mixed batch
-// should therefore be grouped by physics (all soils of scenario A, then all
-// soils of scenario B is *wrong*; all of one soil first is right) — which
-// the one-ensemble-per-run() API enforces naturally.
+// Batching note: a congruence cache serves one physics, so every soil
+// scenario starts from a fresh, empty cache — soil sweeps replay only the
+// congruent pairs within each grid, never across scenarios. Damage sweeps
+// keep the physics fixed and replay the cache across scenarios; a mixed
+// batch should therefore be grouped by physics (alternating soils A, B, A,
+// B gets no cross-scenario reuse; all of one soil first does) — which the
+// one-ensemble-per-run() API enforces naturally.
 #pragma once
 
 #include <cstddef>
@@ -70,8 +68,8 @@ class ScenarioSource {
 /// Soil sweep: one conductor design re-analyzed under every sampled soil.
 /// The design is split at each scenario's own layer interface and re-meshed
 /// (H moves between scenarios, and elements must not straddle the
-/// interface). Worst case for the warm cache — the physics fingerprint
-/// changes every scenario.
+/// interface). Worst case for the warm cache — the physics changes every
+/// scenario, so each one starts a fresh cache.
 class SoilSweep final : public ScenarioSource {
  public:
   SoilSweep(std::vector<geom::Conductor> conductors, geom::MeshOptions mesh,
@@ -89,9 +87,8 @@ class SoilSweep final : public ScenarioSource {
 };
 
 /// Damage sweep: one soil, many damaged variants of the design. The physics
-/// fingerprint is fixed across the batch, so scenarios share the warm
-/// congruence cache (the undamaged majority of each grid replays cached
-/// blocks).
+/// is fixed across the batch, so scenarios share the warm congruence cache
+/// (the undamaged majority of each grid replays cached blocks).
 class DamageSweep final : public ScenarioSource {
  public:
   explicit DamageSweep(DamageEnsemble ensemble) : ensemble_(std::move(ensemble)) {}
@@ -168,8 +165,7 @@ struct CampaignResult {
   /// Congruence-cache rollup: the sum of committed runs' exact deltas.
   bem::CongruenceCacheStats cache;
   /// Phase timings + counters merged from committed runs' PhaseReports
-  /// (includes the cache counters and the fingerprint-guard cost counters
-  /// "Warm cache physics drops" / "Assembly gate wait seconds").
+  /// (includes the congruence-cache hit/miss counters).
   PhaseReport phases;
 
   std::size_t peak_in_flight = 0;  ///< observed maximum; <= options.window

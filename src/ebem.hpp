@@ -46,11 +46,9 @@
 // order-statistic quantiles with distribution-free confidence half-widths
 // (the runner's early-stop rule watches one of them), or O(1)-memory
 // P-squared markers for very large ensembles. Soil sweeps are the warm
-// cache's worst case (one physics drop per scenario — the cost shows up as
-// "Warm cache physics drops" / "Assembly gate wait seconds" on the
-// campaign's PhaseReport rollup); damage sweeps keep one physics and
-// replay the undamaged majority of the grid, so batch campaigns by
-// physics. examples/campaign.cpp is the walkthrough;
+// cache's worst case (a cache serves one physics, so every scenario starts
+// a fresh one); damage sweeps keep one physics and replay the undamaged
+// majority of the grid, so batch campaigns by physics. examples/campaign.cpp is the walkthrough;
 // bench/bench_campaign.cpp measures both sweeps and gates the
 // width-determinism contract in CI.
 //
@@ -66,8 +64,9 @@
 // and its exact congruence-cache delta (tallied inside the run — correct
 // even while runs share the warm cache concurrently); per-run
 // SubmitOptions (storage budget, residual measurement) are validated at
-// submit time. A physics change between submits defers the warm-cache
-// clear until in-flight assemblies drain. The blocking analyze()/factor()
+// submit time. A run takes the engine's cache for its own physics at
+// submit; a physics change installs a fresh cache while runs of the old
+// physics finish on theirs, so nothing waits. The blocking analyze()/factor()
 // calls are thin submit+get shims over the same pipeline, so both paths
 // produce identical numbers. examples/pipeline.cpp is the walkthrough;
 // bench/bench_pipeline.cpp measures sequential vs pipelined ladder wall
@@ -176,8 +175,8 @@
 // codec rejects malformed frames with typed error payloads *before* any
 // engine is touched; service::TenantRegistry gives every tenant its own
 // Study-backed session (own Engine, own warm congruence cache — isolation by
-// construction, since the cache's physics-fingerprint guard only ever sees
-// one tenant's soils) over one shared worker pool; an AdmissionController
+// construction, since each engine's per-physics cache only ever sees one
+// tenant's soils) over one shared worker pool; an AdmissionController
 // enforces per-tenant quotas (outstanding runs, elements per model, a
 // sliding rate window) plus one global outstanding bound, rejecting
 // immediately with a typed code (quota_exceeded / rate_limited / overloaded

@@ -21,13 +21,9 @@ inline constexpr const char* kFactorizationsCounter = "Cholesky factorizations";
 /// factorization".
 inline constexpr const char* kRhsSolvedCounter = "Right-hand sides solved";
 
-/// Fingerprint-guard cost counters (Engine::begin_assembly). A run whose
-/// physics fingerprint differs from the warm cache's drains the in-flight
-/// assemblies and drops the warm entries before it starts; the drop count
-/// and the wall seconds spent parked at the gate quantify what a
-/// physics-changing workload (a campaign soil sweep is the worst case — a
-/// drop per scenario) pays for cache coherence. Physics-stable workloads
-/// (design ladders, damage sweeps) keep both at zero.
+/// No producer: a physics change installs a fresh cache, so no run waits
+/// at a gate or drops a cache. The names stay until a benchmark change
+/// retires the metrics that read them.
 inline constexpr const char* kCacheDropsCounter = "Warm cache physics drops";
 inline constexpr const char* kGateWaitSecondsCounter = "Assembly gate wait seconds";
 

@@ -6,10 +6,12 @@
 // everything those runs should share instead of re-creating per call:
 //
 //   * one par::ThreadPool, spawned once and reused by assembly and solve;
-//   * one warm bem::CongruenceCache, so candidate k replays the elemental
-//     blocks candidates 1..k-1 already integrated (the cache is dropped
-//     automatically when the physics fingerprint changes — deferred, under
-//     pipelining, until every in-flight assembly drains);
+//   * one current bem::CongruenceCache, so candidate k replays the elemental
+//     blocks candidates 1..k-1 already integrated. A cache is built for one
+//     physics (soil + assembly options); a run with other physics installs
+//     a fresh one, while runs still assembling under the old physics keep
+//     theirs until their assembly ends — nothing waits, nothing is dropped
+//     under a reader;
 //   * one PhaseReport sink accumulating Table 6.1 style timings and the
 //     named counters (cache hits, factorizations, solved right-hand sides)
 //     across the whole session — thread-safe, so concurrent runs merge in
@@ -30,13 +32,9 @@
 // submit() them instead of blocking one by one.
 #pragma once
 
-#include <condition_variable>
-#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <span>
-#include <vector>
 
 #include "src/bem/analysis.hpp"
 #include "src/bem/assembly.hpp"
@@ -50,44 +48,10 @@
 
 namespace ebem::engine {
 
-/// Order-dependent hash of everything the elemental blocks depend on besides
-/// pair geometry: the soil stack plus integrator/series/Hankel options.
-/// Geometry congruence is the cache key's job; this pins the physics the key
-/// deliberately leaves out. The scheduler fingerprints every submitted run
-/// with it to gate the warm cache.
-[[nodiscard]] std::uint64_t physics_fingerprint(const soil::LayeredSoil& soil,
-                                                const bem::AssemblyOptions& options);
-
-class Engine;
-
-/// RAII admission to an Engine's cache-coherent assembly phase: the
-/// constructor blocks until the run's physics fingerprint is admissible
-/// (draining in-flight assemblies and dropping stale cache entries when the
-/// physics changed — see Engine::begin_assembly), the destructor releases
-/// the slot on every exit path. Shared by Engine::assemble and the
-/// scheduler's assemble stage so the active-assembly counter can never go
-/// unbalanced.
-class AssemblyGate {
- public:
-  /// `run_report` (optional) receives the fingerprint-guard cost counters —
-  /// cache drops and gate wait seconds — instead of the engine's session
-  /// report, so per-run consumers (scheduler futures, campaign rollups) see
-  /// the guard cost they actually paid. The scheduler merges run reports
-  /// into the session sink on completion, so the totals still converge.
-  AssemblyGate(Engine& engine, const std::optional<std::uint64_t>& fingerprint,
-               PhaseReport* run_report = nullptr);
-  ~AssemblyGate();
-  AssemblyGate(const AssemblyGate&) = delete;
-  AssemblyGate& operator=(const AssemblyGate&) = delete;
-
- private:
-  Engine& engine_;
-};
-
 class Engine {
  public:
   /// Validates the config (throws ebem::InvalidArgument on contradictions)
-  /// and spawns the worker pool / cache up front.
+  /// and spawns the worker pool up front.
   explicit Engine(const ExecutionConfig& config = {});
 
   Engine(const Engine&) = delete;
@@ -104,16 +68,10 @@ class Engine {
   /// Shared worker pool; null when the engine runs serially.
   [[nodiscard]] par::ThreadPool* pool() { return pool_; }
 
-  /// Warm congruence cache; null when disabled by the config.
-  [[nodiscard]] bem::CongruenceCache* cache() { return cache_ ? &*cache_ : nullptr; }
-  [[nodiscard]] bem::CongruenceCacheStats cache_stats() const {
-    return cache_ ? cache_->stats() : bem::CongruenceCacheStats{};
-  }
-  /// Drop all warm cache entries (the physics-fingerprint guard does this
-  /// automatically; manual calls are only needed to re-measure cold starts).
-  /// Waits for in-flight assemblies to drain first — entries are never
-  /// dropped under a run that is replaying them.
-  void clear_cache();
+  /// Session congruence-cache counters: hits and misses summed over every
+  /// completed run (the report's bem::kCacheHitsCounter/kCacheMissesCounter),
+  /// entries of the current cache. Zeros when the cache is off.
+  [[nodiscard]] bem::CongruenceCacheStats cache_stats() const;
 
   /// Session-cumulative phase timings and counters. Thread-safe sink:
   /// concurrent pipelined runs merge into it without losing increments.
@@ -156,19 +114,6 @@ class Engine {
 
   // --- blocking calls -----------------------------------------------------
 
-  /// Assemble the Galerkin system against the shared pool and warm cache.
-  [[nodiscard]] bem::AssemblyResult assemble(const bem::BemModel& model,
-                                             const bem::AssemblyOptions& options = {});
-
-  /// Solve one assembled system under the config's solver policy. This is
-  /// the matrix-level entry: `rhs` must be in the matrix's own row order.
-  /// For a system assembled under a geometric DoF ordering, pass
-  /// AssemblyResult::ordering via bem::solve's SolveExecution (or use
-  /// analyze()/factor(), which handle the permutation boundary themselves).
-  [[nodiscard]] std::vector<double> solve(const la::SymMatrix& matrix,
-                                          std::span<const double> rhs,
-                                          bem::SolveStats* stats = nullptr);
-
   /// Full analysis (assembly + solve + design parameters) — a thin
   /// submit()+get() shim over the pipeline (the run gets its own copy of
   /// the model), so it interleaves fairly with concurrently submitted
@@ -183,27 +128,19 @@ class Engine {
   [[nodiscard]] FactoredSystem factor(const bem::BemModel& model,
                                       const bem::AnalysisOptions& options = {});
 
-  /// Resolved per-phase execution plans (what the config means in bem
-  /// terms); exposed so benches and tests can drive the low-level entry
-  /// points with engine-consistent plumbing. Note: driving bem::assemble
-  /// directly with these bypasses the physics-fingerprint cache guard —
-  /// keep the physics fixed, or go through Engine::assemble/analyze.
-  [[nodiscard]] bem::AssemblyExecution assembly_execution();
+  /// The solve phase's execution plan (pool, Cholesky block, matvec
+  /// crossover, residual check) as the config resolves it.
   [[nodiscard]] bem::SolveExecution solve_execution() const;
-  [[nodiscard]] bem::SolverOptions solver_options() const;
-  [[nodiscard]] bem::AnalysisExecution analysis_execution();
 
  private:
-  friend class AssemblyGate;
+  friend class Scheduler;
 
-  /// Admission to the cache-coherent assembly phase (no-op when the cache
-  /// is off). A run whose `fingerprint` differs from the cache's current
-  /// physics waits until the in-flight assemblies drain, then drops the
-  /// stale entries and installs its fingerprint — the deferred clear the
-  /// pipelining contract requires. Balanced by end_assembly(); always taken
-  /// through the AssemblyGate RAII.
-  void begin_assembly(const std::optional<std::uint64_t>& fingerprint, PhaseReport* run_report);
-  void end_assembly();
+  /// The cache of `soil` under `options`: the current one when it serves
+  /// that physics, otherwise a fresh, empty cache that replaces it. Runs
+  /// holding the replaced cache keep it alive until they release it. Null
+  /// when the cache is off.
+  std::shared_ptr<bem::CongruenceCache> cache_for(const soil::LayeredSoil& soil,
+                                                  const bem::AssemblyOptions& options);
 
   /// The lazily created stage scheduler (spawning executor threads only
   /// once something actually submits).
@@ -213,14 +150,9 @@ class Engine {
   std::size_t threads_;
   std::optional<par::ThreadPool> owned_pool_;
   par::ThreadPool* pool_ = nullptr;
-  std::optional<bem::CongruenceCache> cache_;
   PhaseReport report_;
-
-  // Cache-coherence gate (see begin_assembly).
-  std::mutex gate_mutex_;
-  std::condition_variable gate_cv_;
-  std::size_t active_assemblies_ = 0;
-  std::optional<std::uint64_t> cache_fingerprint_;
+  mutable std::mutex cache_mutex_;
+  std::shared_ptr<bem::CongruenceCache> cache_;  ///< current physics' cache
 
   // Declared last: destroyed first, so the scheduler drains while the pool
   // and cache above are still alive.

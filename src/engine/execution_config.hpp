@@ -59,10 +59,10 @@ struct ExecutionConfig {
   std::size_t max_pending_runs = 0;
 
   // --- congruence cache --------------------------------------------------
-  /// Keep one warm congruence cache across every assembly the Engine runs:
+  /// Keep a warm congruence cache across the assemblies the Engine runs:
   /// nearby systems (design ladders, estimation sweeps) replay each other's
-  /// elemental blocks. The Engine drops the cache automatically whenever
-  /// the physics fingerprint (soil + integrator/series options) changes.
+  /// elemental blocks. A cache serves one physics (soil + assembly
+  /// options); a run with other physics gets a fresh, empty cache.
   bool use_congruence_cache = true;
   double congruence_quantum = bem::kDefaultCongruenceQuantum;
   std::size_t cache_max_entries = bem::CongruenceCache::kDefaultMaxEntries;

@@ -29,11 +29,15 @@ struct RunState {
   bem::BemModel model;
   bem::AnalysisOptions options;
   bem::AnalysisExecution execution;  ///< engine plumbing + per-run overrides
-  std::optional<std::uint64_t> fingerprint;  ///< set when the warm cache is on
   std::uint64_t sequence = 0;
   Engine* engine = nullptr;
   /// Set before the run is queued; taken and called once by finish_run.
   Completion on_complete;
+
+  /// The engine's cache for this run's physics (null when the cache is
+  /// off); released when the assembly ends, so a cache the engine has since
+  /// replaced is freed with its last assembly, not with the last future.
+  std::shared_ptr<bem::CongruenceCache> cache;
 
   // Stage products, handed from stage to stage.
   std::optional<bem::AssemblyResult> assembled;
@@ -106,20 +110,35 @@ bool cancel_run(RunState& run) {
   return true;
 }
 
+/// The engine's execution policy in bem terms; the run's cache is attached
+/// separately, per physics.
+bem::AnalysisExecution execution_of(Engine& engine) {
+  const ExecutionConfig& config = engine.config();
+  bem::AnalysisExecution execution;
+  execution.assembly = {
+      .num_threads = engine.num_threads(),
+      .pool = config.backend == bem::Backend::kThreadPool ? engine.pool() : nullptr,
+      .schedule = config.schedule,
+      .loop = config.loop,
+      .backend = config.backend,
+      .storage = config.storage,
+      .measure_column_costs = config.measure_column_costs};
+  execution.solver = {.kind = config.solver,
+                      .cg_tolerance = config.cg_tolerance,
+                      .cg_max_iterations = config.cg_max_iterations};
+  execution.solve = engine.solve_execution();
+  return execution;
+}
+
 void stage_assemble(RunState& run) {
   WallTimer wall;
   CpuTimer cpu;
-  bem::AssemblyResult assembled;
-  {
-    // Admission: if this run's physics differs from the warm cache's, wait
-    // for in-flight assemblies to drain, then the stale entries are dropped
-    // before ours starts. Factor/solve stages never touch the cache, so
-    // they keep pipelining across the physics change.
-    const AssemblyGate gate(*run.engine, run.fingerprint, &run.report);
-    assembled = bem::assemble(run.model, run.options.assembly, run.execution.assembly);
-  }
+  bem::AssemblyResult assembled =
+      bem::assemble(run.model, run.options.assembly, run.execution.assembly);
   run.report.add(Phase::kMatrixGeneration, wall.seconds(), cpu.seconds());
-  if (run.execution.assembly.cache != nullptr) {
+  if (run.cache != nullptr) {
+    run.execution.assembly.cache = nullptr;
+    run.cache.reset();
     // The assembly tallied its own lookups, so this is exact even with other
     // runs hitting the shared cache concurrently.
     run.cache_delta = assembled.cache_stats;
@@ -313,14 +332,15 @@ std::shared_ptr<RunState> Scheduler::make_run(bem::BemModel model,
   auto run = std::make_shared<RunState>(std::move(model));
   run->factor_only = factor_only;
   run->options = options;
-  run->execution = engine_.analysis_execution();
+  run->execution = execution_of(engine_);
   if (overrides.storage.has_value()) run->execution.assembly.storage = *overrides.storage;
   if (overrides.measure_residual.has_value()) {
     run->execution.solve.measure_residual = *overrides.measure_residual;
   }
-  if (engine_.cache() != nullptr) {
-    run->fingerprint = physics_fingerprint(run->model.soil(), options.assembly);
-  }
+  // Taken at submit, so which cache a run replays follows submission order,
+  // not which executor happens to start its assembly first.
+  run->cache = engine_.cache_for(run->model.soil(), options.assembly);
+  run->execution.assembly.cache = run->cache.get();
   run->engine = &engine_;
   run->on_complete = std::move(on_complete);
 

@@ -31,12 +31,11 @@
 // there) therefore need no thread watching futures.
 //
 // Concurrency contract with the engine's warm resources:
-//  * the congruence cache is shared by concurrent assemblies (it is a
+//  * at submit, a run takes the engine's cache for its own physics (the
+//    current one, or a fresh one that replaces it) and holds it until its
+//    assembly ends; runs of one physics share a cache concurrently (it is a
 //    sharded, thread-safe map; per-run hit/miss deltas are tallied inside
-//    each assembly, not diffed from the shared counters);
-//  * a submitted run whose physics fingerprint differs from the cache's
-//    current physics waits until in-flight assemblies drain, then the stale
-//    entries are dropped — never mid-assembly (see Engine::begin_assembly);
+//    each assembly), and runs of different physics never share one;
 //  * per-run PhaseReports merge into the engine's session report through
 //    PhaseReport's internally locked merge, so no counter increment is lost.
 #pragma once

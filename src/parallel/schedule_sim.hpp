@@ -1,8 +1,8 @@
 // Deterministic discrete-event simulator of chunked loop scheduling.
 //
 // Why this exists: the paper measured speed-ups on a 64-processor SGI
-// Origin 2000; this build environment exposes a single core, so speed-ups
-// beyond 1 are physically unobservable here. The speed-up *shape* in
+// Origin 2000; a build host measures real speed-ups only up to its own
+// hardware concurrency (p <= hw_concurrency). The speed-up *shape* in
 // Fig. 6.1 and Tables 6.2/6.3, however, is a property of the scheduling
 // policy applied to the per-task costs of the triangular assembly loop
 // (column i couples elements i..M-1, so costs decrease linearly). Given the

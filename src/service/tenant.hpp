@@ -5,10 +5,10 @@
 // session PhaseReport) bound into an engine::Study pinned to the tenant's
 // physics. The engines share one par::ThreadPool — compute is pooled,
 // *state* is not — so tenant A's design ladder keeps replaying its warm
-// cache no matter how often tenant B's soil churn would have invalidated a
-// shared one. (The Engine's physics-fingerprint guard drops its cache on
-// any physics change; with one engine per tenant that guard only ever sees
-// that tenant's physics.)
+// cache no matter how often tenant B's soil churn would have replaced a
+// shared one. (An Engine keeps one current cache per physics and installs a
+// fresh one on any physics change; with one engine per tenant it only ever
+// sees that tenant's physics.)
 //
 // Each session also carries the tenant's declared quotas (admission.hpp
 // enforces them), its admission ledger, and a CostAccount: the cumulative

@@ -15,6 +15,8 @@ namespace ebem::soil {
 struct Layer {
   double conductivity = 0.0;  ///< gamma_c [1/(Ohm m)]
   double thickness = 0.0;     ///< [m]; ignored (infinite) for the last layer
+
+  friend bool operator==(const Layer&, const Layer&) = default;
 };
 
 class LayeredSoil {
@@ -48,6 +50,9 @@ class LayeredSoil {
   [[nodiscard]] double reflection_coefficient() const;
 
   [[nodiscard]] bool is_uniform() const { return layers_.size() == 1; }
+
+  /// Exact value equality of the stack (what a congruence cache is bound to).
+  friend bool operator==(const LayeredSoil&, const LayeredSoil&) = default;
 
  private:
   std::vector<Layer> layers_;

@@ -208,7 +208,7 @@ TEST(CongruenceCache, BatchedEntryReplaysCongruentFields) {
   std::vector<LocalMatrix> plain(fields.size());
   integrator.element_pair_batch(source, fields, plain.data());
 
-  CongruenceCache cache;
+  CongruenceCache cache(soil);
   std::vector<LocalMatrix> cold(fields.size());
   std::size_t cold_replays = 0;
   integrator.element_pair_batch(source, fields, cold.data(), &cache, &cold_replays);
@@ -235,7 +235,7 @@ TEST(CongruenceCache, FarFieldSamplingReplaysOnOrderedGrid) {
   // warm cache must serve part of its ACA sampling bill from the cache (the
   // exact bill is pairs_near + pairs_sampled - pairs_replayed).
   const BemModel model = grid_model(4, 60, soil::LayeredSoil::uniform(0.01));
-  CongruenceCache cache;
+  CongruenceCache cache(model.soil());
   AssemblyExecution execution;
   execution.cache = &cache;
   execution.storage.tile_size = 32;

@@ -14,6 +14,7 @@
 #include "src/bem/assembly.hpp"
 #include "src/bem/congruence_cache.hpp"
 #include "src/bem/pair_signature.hpp"
+#include "src/common/error.hpp"
 #include "src/geom/grid_builder.hpp"
 #include "src/geom/mesh.hpp"
 #include "src/parallel/thread_pool.hpp"
@@ -171,7 +172,7 @@ TEST(PairSignature, NearPairsKeepTheOrderedKey) {
 
 TEST(CongruenceCache, TransposedReplayReturnsTheTransposedBlock) {
   const auto [field, source] = separated_pair();
-  CongruenceCache cache(kLooseQuantum);
+  CongruenceCache cache(soil::LayeredSoil::uniform(0.01), {}, kLooseQuantum);
 
   LocalMatrix block;
   block.value = {{{1.0, 2.0}, {3.0, 4.0}}};
@@ -293,7 +294,7 @@ TEST(CongruenceCache, UniformGridHitRateAndParity) {
   const AssemblyResult off = assemble(model, {});
   EXPECT_EQ(off.cache_stats.hits + off.cache_stats.misses, 0u);  // disabled by default
 
-  CongruenceCache cache;
+  CongruenceCache cache(model.soil());
   const AssemblyResult on = assemble(model, {}, {.cache = &cache});
 
   expect_parity(off.matrix, on.matrix, "uniform sequential");
@@ -320,7 +321,7 @@ TEST(CongruenceCache, ParityAcrossSchedulesLoopsBackends) {
     for (const auto& [backend, backend_name] :
          {std::pair{Backend::kThreadPool, "pool"}, std::pair{Backend::kOpenMp, "omp"}}) {
       for (const auto& [schedule, schedule_name] : schedules) {
-        CongruenceCache cache;
+        CongruenceCache cache(model.soil());
         AssemblyExecution execution;
         execution.num_threads = 4;
         execution.loop = loop;
@@ -342,7 +343,7 @@ TEST(CongruenceCache, ExternalCacheReusedAcrossAssemblies) {
   const BemModel model = uniform_model(3);
   const AssemblyResult reference = assemble(model, {});
 
-  CongruenceCache cache;
+  CongruenceCache cache(model.soil());
   const AssemblyExecution execution{.cache = &cache};
   const AssemblyResult first = assemble(model, {}, execution);
   expect_parity(reference.matrix, first.matrix, "first warm-up run");
@@ -360,7 +361,7 @@ TEST(CongruenceCache, ExternalCacheReusedAcrossAssemblies) {
 
 TEST(CongruenceCache, StatsReportedThroughPhaseReport) {
   const BemModel model = uniform_model(2);
-  CongruenceCache cache;
+  CongruenceCache cache(model.soil());
   AnalysisExecution execution;
   execution.assembly.cache = &cache;
   PhaseReport report;
@@ -375,11 +376,11 @@ TEST(CongruenceCache, StatsReportedThroughPhaseReport) {
 }
 
 TEST(CongruenceCache, PhaseReportCountsPerRunDeltasForExternalCache) {
-  // An external cache's stats are lifetime-cumulative; repeated analyze()
-  // calls into one report must add each run's delta, not re-add history.
+  // Repeated analyze() calls sharing one cache must each add their own
+  // tally to the report, not re-add history.
   const BemModel model = uniform_model(2);
   const std::size_t pairs = model.element_count() * (model.element_count() + 1) / 2;
-  CongruenceCache cache;
+  CongruenceCache cache(model.soil());
   AnalysisExecution execution;
   execution.assembly.cache = &cache;
   PhaseReport report;
@@ -391,11 +392,36 @@ TEST(CongruenceCache, PhaseReportCountsPerRunDeltasForExternalCache) {
                    static_cast<double>(2 * pairs));
 }
 
+TEST(CongruenceCache, AssembleRejectsACacheBuiltForOtherPhysics) {
+  // Congruent geometry does not pin the block: a cache serves exactly the
+  // soil and assembly options it was built for.
+  geom::RectGridSpec spec;
+  spec.length_x = 10.0;
+  spec.length_y = 10.0;
+  spec.cells_x = 2;
+  spec.cells_y = 2;
+  const geom::Mesh mesh = geom::Mesh::build(geom::make_rect_grid(spec));
+  const BemModel layered(mesh, soil::LayeredSoil::two_layer(0.005, 0.016, 1.0));
+  const BemModel uniform(mesh, soil::LayeredSoil::uniform(0.02));
+
+  CongruenceCache for_uniform(uniform.soil());
+  EXPECT_THROW((void)assemble(layered, {}, {.cache = &for_uniform}), InvalidArgument);
+
+  AssemblyOptions looser;
+  looser.series.tolerance *= 10.0;
+  CongruenceCache for_looser(layered.soil(), looser);
+  EXPECT_THROW((void)assemble(layered, {}, {.cache = &for_looser}), InvalidArgument);
+
+  CongruenceCache matching(layered.soil(), AssemblyOptions{});
+  EXPECT_NO_THROW((void)assemble(layered, {}, {.cache = &matching}));
+  EXPECT_NO_THROW((void)assemble(layered, looser, {.cache = &for_looser}));
+}
+
 TEST(CongruenceCache, CapStopsInsertionsButKeepsCorrectness) {
   const BemModel model = uniform_model(3);
   const AssemblyResult reference = assemble(model, {});
 
-  CongruenceCache tiny(kDefaultCongruenceQuantum, /*max_entries=*/4);
+  CongruenceCache tiny(model.soil(), {}, kDefaultCongruenceQuantum, /*max_entries=*/4);
   const AssemblyResult result = assemble(model, {}, {.cache = &tiny});
   expect_parity(reference.matrix, result.matrix, "capped cache");
   EXPECT_LE(result.cache_stats.entries, 4u);

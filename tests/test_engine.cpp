@@ -1,6 +1,6 @@
 // engine:: subsystem: ExecutionConfig validation, Engine warm-cache
-// behaviour across analyses (including the physics-fingerprint guard),
-// FactoredSystem multi-RHS parity and factorization accounting, and the
+// behaviour across analyses (including the fresh cache a physics change
+// starts on), FactoredSystem multi-RHS parity and factorization accounting, and the
 // Study session that design_search style ladders run on.
 #include <gtest/gtest.h>
 
@@ -203,7 +203,8 @@ TEST(Engine, CacheStaysWarmAcrossRepeatedAnalyses) {
 
 TEST(Engine, PhysicsChangeDropsTheWarmCache) {
   // Same geometry classes under different soil would replay wrong blocks;
-  // the fingerprint guard must clear the cache instead.
+  // the physics change must leave the old soil's cache behind and start the
+  // new soil on a fresh one.
   geom::RectGridSpec spec;
   spec.length_x = 20.0;
   spec.length_y = 20.0;
@@ -226,14 +227,18 @@ TEST(Engine, PhysicsChangeDropsTheWarmCache) {
   // Wrong replays would show up as a grossly different resistance.
   EXPECT_NEAR(warm_layered.equivalent_resistance, cold_layered.equivalent_resistance,
               1e-12 * cold_layered.equivalent_resistance);
-  // Per-run delta accounting must survive the fingerprint drop: the layered
-  // run's counters are its own (no wrap-around, no leftover zeros), and its
-  // misses reflect the emptied cache.
+  // Per-run delta accounting must survive the cache swap: the layered run's
+  // counters are its own (no wrap-around, no leftover zeros), and its
+  // misses reflect the fresh cache.
   const bem::CongruenceCacheStats delta = warm_layered.cache_stats;
   const std::size_t pairs = layered.element_count() * (layered.element_count() + 1) / 2;
   EXPECT_EQ(delta.hits + delta.misses, pairs);
   EXPECT_GT(delta.misses, 0u);
-  // The session totals keep accumulating across the drop.
+  // Only the layered physics' classes are held now.
+  bem::CongruenceCache cold_cache(layered.soil());
+  const bem::AssemblyResult cold = bem::assemble(layered, {}, {.cache = &cold_cache});
+  EXPECT_EQ(engine.cache_stats().entries, cold.cache_stats.entries);
+  // The session totals keep accumulating across the swap.
   EXPECT_EQ(engine.cache_stats().hits + engine.cache_stats().misses,
             uniform_lookups + pairs);
 }
@@ -354,7 +359,7 @@ TEST(Study, WarmHitRateBeatsColdStartOnTheUniformBenchLadder) {
     const bem::BemModel model = bench_model(cells);
     const bem::CongruenceCacheStats warm = study.analyze(model).cache_stats;
 
-    bem::CongruenceCache cold_cache;
+    bem::CongruenceCache cold_cache(model.soil());
     const bem::AssemblyResult cold = bem::assemble(model, {}, {.cache = &cold_cache});
 
     if (cells > 3u) {

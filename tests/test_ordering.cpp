@@ -337,16 +337,17 @@ TEST(Ordering, OrderedFactorHandleSpeaksExternalOrder) {
 TEST(Ordering, AssemblyCarriesTheOrderingOnlyWhenAsked) {
   const bem::BemModel model = uniform_grid_model(6, 30.0);
 
-  engine::Engine plain_engine;
-  const bem::AssemblyResult plain = plain_engine.assemble(model);
+  bem::CongruenceCache plain_cache(model.soil());
+  const bem::AssemblyResult plain = bem::assemble(model, {}, {.cache = &plain_cache});
   EXPECT_EQ(plain.ordering, nullptr);
   EXPECT_EQ(plain.ordering_stats.cluster_leaves, 0u);
 
-  engine::ExecutionConfig config;
-  config.storage.tile_size = 16;
-  config.storage.compression.ordering = la::DofOrdering::kGeometric;
-  engine::Engine ordered_engine(config);
-  const bem::AssemblyResult ordered = ordered_engine.assemble(model);
+  la::StorageConfig storage;
+  storage.tile_size = 16;
+  storage.compression.ordering = la::DofOrdering::kGeometric;
+  bem::CongruenceCache ordered_cache(model.soil());
+  const bem::AssemblyResult ordered =
+      bem::assemble(model, {}, {.storage = storage, .cache = &ordered_cache});
   ASSERT_NE(ordered.ordering, nullptr);
   EXPECT_EQ(ordered.ordering->size(), ordered.rhs.size());
   EXPECT_FALSE(ordered.ordering->is_identity());

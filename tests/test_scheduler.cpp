@@ -1,11 +1,11 @@
 // engine::Scheduler — asynchronous submit/future runs: future lifecycle and
 // out-of-order consumption, parity of the pipelined path against the
 // blocking and serial references at every thread count, warm-cache
-// correctness under concurrent submits (shared hits; deferred
-// physics-fingerprint clear), per-run override validation at submit time,
-// error propagation and cancellation, the thread-safety of the PhaseReport
-// sink the concurrent runs merge into, and the completion callback contract
-// (once per run, on every ending, no cycles).
+// correctness under concurrent submits (shared hits within one physics, a
+// cache of its own for each physics), per-run override validation at
+// submit time, error propagation and cancellation, the thread-safety of
+// the PhaseReport sink the concurrent runs merge into, and the completion
+// callback contract (once per run, on every ending, no cycles).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -376,15 +376,14 @@ TEST(Scheduler, ConcurrentSubmitsWithTheSamePhysicsShareTheWarmCache) {
 
 TEST(Scheduler, PhysicsChangeBetweenSubmitsDrainsInFlightRunsBeforeClearing) {
   // Same geometry under two different soils: replaying the uniform-soil
-  // blocks for the layered run would be grossly wrong, so the second
-  // submit's assembly must wait out the first and then drop the stale
-  // entries — while both runs still complete and match their cold
-  // references.
+  // blocks for the layered run would be grossly wrong. The first run keeps
+  // the uniform cache until it drains; the second starts on a fresh one,
+  // and both runs complete and match their cold references.
   geom::RectGridSpec spec;
   spec.length_x = 20.0;
   spec.length_y = 20.0;
-  spec.cells_x = 4;
-  spec.cells_y = 4;
+  spec.cells_x = 2;
+  spec.cells_y = 2;
   const geom::Mesh mesh = geom::Mesh::build(geom::make_rect_grid(spec));
   const bem::BemModel uniform(mesh, soil::LayeredSoil::uniform(0.02));
   const bem::BemModel layered(mesh, soil::LayeredSoil::two_layer(0.005, 0.016, 1.0));
@@ -400,28 +399,65 @@ TEST(Scheduler, PhysicsChangeBetweenSubmitsDrainsInFlightRunsBeforeClearing) {
   EXPECT_NEAR(warm_layered.get().equivalent_resistance, cold_layered.equivalent_resistance,
               1e-12 * cold_layered.equivalent_resistance);
 
-  // The clear happened between the runs, not under the first one: only the
-  // layered physics' classes survive (assemblies dispatch in submission
-  // order, so the drop deterministically falls between them).
-  bem::CongruenceCache cold_cache;
+  // The uniform run drained into its own cache, never the layered one: only
+  // the layered physics' classes are held by the engine now.
+  bem::CongruenceCache cold_cache(layered.soil());
   const bem::AssemblyResult cold = bem::assemble(layered, {}, {.cache = &cold_cache});
   EXPECT_EQ(engine.cache_stats().entries, cold.cache_stats.entries);
   // And the layered run really did start cold (no cross-physics replays).
-  EXPECT_EQ(warm_layered.get().cache_stats.hits,
-            cold.cache_stats.hits);
+  EXPECT_EQ(warm_layered.get().cache_stats.hits, cold.cache_stats.hits);
 }
 
-TEST(Scheduler, FingerprintSeparatesSoilsAndNumerics) {
-  const auto soil_a = soil::LayeredSoil::uniform(0.02);
-  const auto soil_b = soil::LayeredSoil::two_layer(0.005, 0.016, 1.0);
-  bem::AssemblyOptions options;
-  const std::uint64_t a = physics_fingerprint(soil_a, options);
-  const std::uint64_t b = physics_fingerprint(soil_b, options);
-  EXPECT_NE(a, b);
-  bem::AssemblyOptions tighter = options;
-  tighter.series.tolerance *= 0.1;
-  EXPECT_NE(physics_fingerprint(soil_a, options), physics_fingerprint(soil_a, tighter));
-  EXPECT_EQ(a, physics_fingerprint(soil_a, bem::AssemblyOptions{}));
+TEST(Scheduler, AlternatingPhysicsRunsNeverReplayEachOthersBlocks) {
+  // Same geometry under two soils, submitted A, B, A, B back to back to a
+  // width-2, 4-thread engine. Replaying one soil's blocks for the other
+  // would be grossly wrong; each physics change installs a fresh cache, and
+  // runs still assembling under the previous physics keep theirs.
+  geom::RectGridSpec spec;
+  spec.length_x = 20.0;
+  spec.length_y = 20.0;
+  spec.cells_x = 4;
+  spec.cells_y = 4;
+  const geom::Mesh mesh = geom::Mesh::build(geom::make_rect_grid(spec));
+  const bem::BemModel uniform(mesh, soil::LayeredSoil::uniform(0.02));
+  const bem::BemModel layered(mesh, soil::LayeredSoil::two_layer(0.005, 0.016, 1.0));
+  const bem::BemModel* const models[] = {&uniform, &layered, &uniform, &layered};
+  const std::size_t pairs = uniform.element_count() * (uniform.element_count() + 1) / 2;
+
+  ExecutionConfig config;
+  config.num_threads = 4;
+  config.pipeline_width = 2;
+  Engine engine(config);
+  std::vector<RunFuture> futures;
+  for (const bem::BemModel* model : models) futures.push_back(engine.submit(*model));
+
+  ExecutionConfig off;
+  off.use_congruence_cache = false;
+  Engine reference_engine(off);
+  std::size_t run_pairs = 0;
+  std::size_t cold_layered_entries = 0;
+  for (std::size_t k = 0; k < futures.size(); ++k) {
+    const bem::AnalysisResult& warm = futures[k].get();
+    const bem::AnalysisResult reference = reference_engine.analyze(*models[k]);
+    EXPECT_NEAR(warm.equivalent_resistance, reference.equivalent_resistance,
+                1e-12 * reference.equivalent_resistance)
+        << k;
+    expect_sigma_near(warm.sigma, reference.sigma, "alternating physics");
+
+    // Every run starts its physics cold: no block replays across physics.
+    // Against a serial cold assembly, 4 workers can only fall short (two
+    // racing on a cold key both miss); any replay from another run's cache
+    // would exceed it.
+    bem::CongruenceCache cold_cache(models[k]->soil());
+    const bem::AssemblyResult cold = bem::assemble(*models[k], {}, {.cache = &cold_cache});
+    EXPECT_LE(warm.cache_stats.hits, cold.cache_stats.hits) << k;
+    run_pairs += warm.cache_stats.hits + warm.cache_stats.misses;
+    cold_layered_entries = cold.cache_stats.entries;
+  }
+  EXPECT_EQ(run_pairs, 4 * pairs);
+  EXPECT_EQ(engine.cache_stats().hits + engine.cache_stats().misses, run_pairs);
+  // The current cache is the last physics' (B's), filled by one cold run.
+  EXPECT_EQ(engine.cache_stats().entries, cold_layered_entries);
 }
 
 // ---------------------------------------------------------------------------

@@ -354,7 +354,7 @@ TEST(ServiceTenants, WarmCacheIsolationSurvivesAnotherTenantsPhysicsChurn) {
   // acme submits the same model twice; gadget churns a *different* soil in
   // between. With per-tenant engines the second acme run replays acme's
   // warm cache — gadget's physics never evicts it. (One shared engine
-  // would drop the cache on every fingerprint flip.)
+  // would install a fresh cache on every physics flip.)
   Dispatcher dispatcher(small_config());
   LoopbackClient client(dispatcher);
 
