@@ -16,9 +16,9 @@
 //                matches the sequential ladder candidate by candidate —
 //                bitwise where the policy guarantees it (one worker, cache
 //                off: both paths run identical serial arithmetic, and the
-//                sequential ladder itself must match the bem::analyze
-//                serial shim bit for bit) and to 1e-12 relative otherwise
-//                (the congruence cache and scatter reordering admit
+//                ladder must match the serial bem::analyze reference
+//                oracle bit for bit) and to 1e-12 relative otherwise (the
+//                congruence cache and scatter reordering admit
 //                quantization-level drift, never more).
 //
 // The JSON lines feed CI's bench-regression gate (bench/compare_bench.py
@@ -120,7 +120,7 @@ bool run_config(const std::vector<bem::BemModel>& models, std::size_t threads, b
   const LadderRun pipelined = run_pipelined(models, config);
 
   // Bitwise regime: one worker, no cache — identical serial arithmetic on
-  // both paths (and on the engine-less shim, checked below).
+  // both paths (and in the engine-less bem::analyze oracle, checked below).
   const bool bitwise = threads == 1 && !cache;
   double worst = 0.0;
   bool ok = true;
@@ -130,12 +130,12 @@ bool run_config(const std::vector<bem::BemModel>& models, std::size_t threads, b
     worst = std::max(worst, max_rel_diff(a, b));
     if (bitwise && a != b) ok = false;
     if (check && bitwise) {
-      const bem::AnalysisResult shim = bem::analyze(models[k]);
-      if (shim.sigma != b ||
-          shim.equivalent_resistance != pipelined.results[k].equivalent_resistance) {
+      const bem::AnalysisResult oracle = bem::analyze(models[k]);
+      if (oracle.sigma != b ||
+          oracle.equivalent_resistance != pipelined.results[k].equivalent_resistance) {
         std::fprintf(stderr,
                      "bench_pipeline: pipelined candidate %zu deviates bitwise from the "
-                     "serial shim\n",
+                     "serial bem::analyze oracle\n",
                      k);
         ok = false;
       }

@@ -128,10 +128,10 @@ int main(int argc, char** argv) {
   double pcg_base = 0.0;
   for (const std::size_t threads : thread_counts) {
     par::ThreadPool pool(threads);
-    const bem::SolverOptions options{.kind = bem::SolverKind::kPcg};
-    const bem::SolveExecution execution{.pool = threads > 1 ? &pool : nullptr};
+    const bem::SolveExecution execution{.pool = threads > 1 ? &pool : nullptr,
+                                        .kind = bem::SolverKind::kPcg};
     const double seconds =
-        best_of(3, [&] { (void)bem::solve(system.matrix, system.rhs, options, execution); });
+        best_of(3, [&] { (void)bem::solve(system.matrix, system.rhs, execution); });
     if (threads == 1) pcg_base = seconds;
     emit("pcg", threads, m, system.matrix.size(), seconds, pcg_base,
          system.matrix.tile_stats().resident_bytes);

@@ -1,14 +1,27 @@
 #include "src/bem/analysis.hpp"
 
 #include "src/common/error.hpp"
-#include "src/common/timer.hpp"
 #include "src/la/blas1.hpp"
 
 namespace ebem::bem {
 
+AnalysisResult scale_to_gpr(std::span<const double> rhs, std::vector<double> sigma_hat,
+                            double gpr) {
+  // I_Gamma = integral of sigma over the electrodes = nu . sigma (eq. 2.2),
+  // evaluated at the normalized GPR and rescaled.
+  const double normalized_current = la::dot(rhs, sigma_hat);
+  EBEM_ENSURE(normalized_current > 0.0, "non-positive total leakage current");
+  AnalysisResult result;
+  result.equivalent_resistance = 1.0 / normalized_current;
+  result.total_current = gpr * normalized_current;
+  result.sigma = std::move(sigma_hat);
+  la::scal(gpr, result.sigma);
+  return result;
+}
+
 AnalysisResult finish_analysis(AssemblyResult system, std::vector<double> sigma_hat,
                                double gpr) {
-  AnalysisResult result;
+  AnalysisResult result = scale_to_gpr(system.rhs, std::move(sigma_hat), gpr);
   result.cache_stats = system.cache_stats;
   // Snapshot after the solve: the matrix store keeps paging through the
   // factor copy-in and the residual matvec, not just through assembly.
@@ -16,64 +29,19 @@ AnalysisResult finish_analysis(AssemblyResult system, std::vector<double> sigma_
   result.compression = system.compression;
   result.far_field = system.far_field;
   result.ordering_stats = system.ordering_stats;
-  // I_Gamma = integral of sigma over the electrodes = nu . sigma (eq. 2.2),
-  // evaluated at the normalized GPR and rescaled.
-  const double normalized_current = la::dot(system.rhs, sigma_hat);
-  EBEM_ENSURE(normalized_current > 0.0, "non-positive total leakage current");
-  result.equivalent_resistance = 1.0 / normalized_current;
-  result.total_current = gpr * normalized_current;
-  result.sigma = std::move(sigma_hat);
-  la::scal(gpr, result.sigma);
   result.column_costs = std::move(system.column_costs);
   return result;
 }
 
-AnalysisResult analyze(const BemModel& model, const AnalysisOptions& options,
-                       const AnalysisExecution& execution, PhaseReport* report) {
+AnalysisResult analyze(const BemModel& model, const AnalysisOptions& options) {
   EBEM_EXPECT(options.gpr > 0.0, "GPR must be positive");
-
-  WallTimer wall;
-  CpuTimer cpu;
-  AssemblyResult system = assemble(model, options.assembly, execution.assembly);
-  if (report != nullptr) {
-    report->add(Phase::kMatrixGeneration, wall.seconds(), cpu.seconds());
-    if (execution.assembly.cache != nullptr) {
-      // Raw additive counters only — a hit *rate* would not accumulate
-      // meaningfully across repeated analyze() calls into one report. The
-      // assembly tallies its own lookups, so this is this run's delta even
-      // when the cache is shared across concurrent runs.
-      report->add_counter(kCacheHitsCounter, static_cast<double>(system.cache_stats.hits));
-      report->add_counter(kCacheMissesCounter, static_cast<double>(system.cache_stats.misses));
-    }
-  }
-
-  wall.reset();
-  cpu.reset();
-  // Normalized problem: R sigma_hat = nu with V_Gamma = 1. The matrix may be
-  // stored under a geometric DoF ordering; the solve handles the gather/
-  // scatter at its boundary, so sigma_hat comes back in external order.
+  AssemblyResult system = assemble(model, options.assembly);
+  // Normalized problem: R sigma_hat = nu with V_Gamma = 1.
   SolveStats solve_stats;
-  SolveExecution solve_execution = execution.solve;
-  solve_execution.ordering = system.ordering.get();
-  std::vector<double> sigma_hat =
-      solve(system.matrix, system.rhs, execution.solver, solve_execution, &solve_stats);
-  if (report != nullptr) {
-    report->add(Phase::kLinearSolve, wall.seconds(), cpu.seconds());
-  }
-
-  wall.reset();
-  cpu.reset();
+  std::vector<double> sigma_hat = solve(system.matrix, system.rhs, {}, &solve_stats);
   AnalysisResult result = finish_analysis(std::move(system), std::move(sigma_hat), options.gpr);
   result.solve_stats = solve_stats;
-  if (report != nullptr) {
-    report->add(Phase::kResultsStorage, wall.seconds(), cpu.seconds());
-  }
   return result;
-}
-
-AnalysisResult analyze(const BemModel& model, const AnalysisOptions& options,
-                       PhaseReport* report) {
-  return analyze(model, options, AnalysisExecution{}, report);
 }
 
 }  // namespace ebem::bem

@@ -6,37 +6,28 @@
 // reported currents/potentials by the actual GPR.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "src/bem/assembly.hpp"
 #include "src/bem/solver.hpp"
-#include "src/common/phase_report.hpp"
 
 namespace ebem::bem {
 
-/// Names of the cache counters analyze() (and the engine's factor path)
-/// accumulate on a PhaseReport — shared constants so every producer lands
-/// on one session total.
+/// Names of the congruence-cache counters the engine's runs put on their
+/// PhaseReports — shared constants so every producer lands on one session
+/// total.
 inline constexpr const char* kCacheHitsCounter = "Congruence cache hits";
 inline constexpr const char* kCacheMissesCounter = "Congruence cache misses";
 
 /// Physics of one analysis: what system to build and at which GPR. The
-/// solver choice and all execution state (threads, pools, caches) are
-/// supplied separately through AnalysisExecution — or, at the session level,
-/// once through an engine::ExecutionConfig.
+/// solver choice and all execution state (threads, pools, caches) come from
+/// the engine::ExecutionConfig of the engine a run is handed to.
 struct AnalysisOptions {
   AssemblyOptions assembly;
   double gpr = 1.0;  ///< Ground Potential Rise V_Gamma [V]
 
   friend bool operator==(const AnalysisOptions&, const AnalysisOptions&) = default;
-};
-
-/// Resolved execution plan for one analysis (assembly + solve phases). The
-/// default runs the serial reference path with the direct solver.
-struct AnalysisExecution {
-  AssemblyExecution assembly;
-  SolverOptions solver;
-  SolveExecution solve;
 };
 
 struct AnalysisResult {
@@ -54,26 +45,26 @@ struct AnalysisResult {
   OrderingStats ordering_stats;        ///< geometric-ordering summary (zeros if disabled)
 };
 
-/// Run the analysis under an explicit execution plan. `report`, when
-/// provided, accumulates per-phase timings for the Table 6.1 style breakdown
-/// (matrix generation vs solve vs rest) plus the cache counters.
-[[nodiscard]] AnalysisResult analyze(const BemModel& model, const AnalysisOptions& options,
-                                     const AnalysisExecution& execution,
-                                     PhaseReport* report = nullptr);
+/// The unit-GPR solution sigma_hat (of R sigma_hat = nu at V_Gamma = 1)
+/// scaled to `gpr`: fills sigma, total_current and equivalent_resistance of
+/// the result (eq. 2.2; I_Gamma = nu . sigma). Throws if the current is not
+/// positive. The one copy of this arithmetic: finish_analysis() and the
+/// service's factor-and-solve path both call it.
+[[nodiscard]] AnalysisResult scale_to_gpr(std::span<const double> rhs,
+                                          std::vector<double> sigma_hat, double gpr);
 
-/// Post-solve tail of analyze(): turn the assembled system plus the
-/// normalized solution sigma_hat (of R sigma_hat = nu at V_Gamma = 1) into
-/// the final AnalysisResult — total current, equivalent resistance, sigma
-/// rescaled to the actual GPR. Shared between the blocking analyze() above
-/// and the engine scheduler's staged (assemble / factor / solve) pipeline so
-/// both paths produce identical numbers by construction.
+/// Post-solve tail of an analysis: turn the assembled system plus sigma_hat
+/// into the final AnalysisResult — scale_to_gpr() plus the assembly's
+/// counters. Shared between analyze() below and the engine scheduler's
+/// staged (assemble / factor / solve) pipeline so both paths produce
+/// identical numbers by construction.
 [[nodiscard]] AnalysisResult finish_analysis(AssemblyResult system,
                                              std::vector<double> sigma_hat, double gpr);
 
-/// Serial reference shim: default execution, no warm resources. Sessions
-/// that run many analyses should go through engine::Engine / engine::Study
-/// instead, which keep one pool and one warm cache across calls.
-[[nodiscard]] AnalysisResult analyze(const BemModel& model, const AnalysisOptions& options = {},
-                                     PhaseReport* report = nullptr);
+/// Serial reference oracle: assemble -> solve -> finish_analysis on the
+/// default (serial, direct, cache-off) execution. Analyses that need
+/// threads, a warm cache, another solver or phase timings go through
+/// engine::Engine / engine::Study.
+[[nodiscard]] AnalysisResult analyze(const BemModel& model, const AnalysisOptions& options = {});
 
 }  // namespace ebem::bem

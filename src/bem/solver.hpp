@@ -10,6 +10,7 @@
 #include <span>
 #include <vector>
 
+#include "src/la/cholesky.hpp"
 #include "src/la/permutation.hpp"
 #include "src/la/sym_matrix.hpp"
 
@@ -24,26 +25,17 @@ enum class SolverKind {
   kPcg,       ///< Jacobi-preconditioned CG (paper's recommendation)
 };
 
-/// Numerical policy of the solve — which algorithm, to what accuracy.
-/// Worker resources live in SolveExecution (the old num_threads/pool knobs:
-/// a single engine::ExecutionConfig now resolves them once, which also
-/// retires the footgun of a supplied pool being silently ignored whenever
-/// num_threads stayed 1).
-struct SolverOptions {
+/// Resolved execution plan of one solve: the algorithm, its accuracy and
+/// its workers. An engine::Engine resolves its ExecutionConfig into one of
+/// these once; the default is the serial reference path with the direct
+/// solver.
+struct SolveExecution {
+  /// Referenced, not owned; null (or a single-thread pool) keeps the serial
+  /// reference path.
+  par::ThreadPool* pool = nullptr;
   SolverKind kind = SolverKind::kCholesky;
   double cg_tolerance = 1e-12;
   std::size_t cg_max_iterations = 0;  ///< 0 = automatic
-};
-
-/// Resolved execution plumbing for one solve. The pool is referenced, not
-/// owned; null keeps the serial reference path.
-struct SolveExecution {
-  par::ThreadPool* pool = nullptr;
-  /// Panel width (= factor tile size) of the blocked Cholesky factorization.
-  std::size_t cholesky_block = 64;
-  /// Serial/parallel crossover of the pooled matvec (PCG iterations and the
-  /// direct path's residual check); engine::ExecutionConfig tunes it.
-  std::size_t matvec_parallel_cutoff = la::SymMatrix::kParallelCutoff;
   /// Direct path only: whether a caller-supplied SolveStats gets the
   /// achieved relative residual. The check costs one O(N^2) matvec — a full
   /// re-page of a spill-backed matrix — so callers that only want the cheap
@@ -68,12 +60,17 @@ struct SolveStats {
 
 /// Solve R sigma = nu. Throws if PCG fails to converge.
 [[nodiscard]] std::vector<double> solve(const la::SymMatrix& matrix, std::span<const double> rhs,
-                                        const SolverOptions& options = {},
                                         const SolveExecution& execution = {},
                                         SolveStats* stats = nullptr);
 
-/// Serial shim of the above for callers without an execution plan.
-[[nodiscard]] std::vector<double> solve(const la::SymMatrix& matrix, std::span<const double> rhs,
-                                        const SolverOptions& options, SolveStats* stats);
+/// The direct path's tail, shared by solve() and the engine's staged
+/// factor/solve pipeline: gather `rhs` through execution.ordering, substitute
+/// through `factor` (the Cholesky factor of `matrix`), measure the residual
+/// when asked, and scatter the solution back to external order.
+[[nodiscard]] std::vector<double> substitute(const la::Cholesky& factor,
+                                             const la::SymMatrix& matrix,
+                                             std::span<const double> rhs,
+                                             const SolveExecution& execution,
+                                             SolveStats* stats = nullptr);
 
 }  // namespace ebem::bem

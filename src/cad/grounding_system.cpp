@@ -52,9 +52,10 @@ GroundingSystem GroundingSystem::from_file(const std::string& path,
 }
 
 const Report& GroundingSystem::analyze() {
-  PhaseReport phases = setup_phases_;
-  solution_ = bem::analyze(model_, options_.analysis, &phases);
-  return finish_report(phases, bem::CongruenceCacheStats{});
+  engine::ExecutionConfig serial;
+  serial.use_congruence_cache = false;
+  engine::Engine engine(serial);
+  return analyze(engine);
 }
 
 const Report& GroundingSystem::analyze(engine::Engine& engine) {
@@ -65,22 +66,12 @@ const Report& GroundingSystem::analyze(engine::Engine& engine) {
   return finish_report(phases, solution_->cache_stats);
 }
 
-const Report& GroundingSystem::analyze(engine::Study& study) {
-  // A Study pins one physics for its whole session (that is what keeps the
-  // shared warm cache valid), and this system's post-processing (potential
-  // evaluator basis, GPR scaling) runs off its construction-time options —
-  // so the two must agree. Silently letting either side win would e.g.
-  // rescale every safety voltage to the other GPR without any error.
-  EBEM_EXPECT(study.options() == options_.analysis,
-              "GroundingSystem::analyze(Study&): the study's analysis options differ from "
-              "this system's; construct both from the same AnalysisOptions");
-  PhaseReport phases = setup_phases_;
-  solution_ = study.analyze(model_, &phases);
-  return finish_report(phases, solution_->cache_stats);
-}
-
 engine::RunFuture GroundingSystem::submit(engine::Study& study) {
-  // Same agreement contract as analyze(Study&), checked at submission.
+  // A Study pins one physics for its whole session, and this system's
+  // post-processing (potential evaluator physics, GPR scaling) runs off its
+  // construction-time options — so the two must agree. Silently letting
+  // either side win would e.g. rescale every safety voltage to the other
+  // GPR without any error.
   EBEM_EXPECT(study.options() == options_.analysis,
               "GroundingSystem::submit(Study&): the study's analysis options differ from "
               "this system's; construct both from the same AnalysisOptions");
@@ -121,8 +112,11 @@ const Report& GroundingSystem::finish_report(const PhaseReport& phases,
 post::PotentialEvaluator GroundingSystem::potential_evaluator(
     const post::PotentialOptions& options, par::ThreadPool* pool) const {
   EBEM_EXPECT(solution_.has_value(), "call analyze() before requesting post-processing");
+  const bem::AssemblyOptions& assembly = options_.analysis.assembly;
   post::PotentialOptions merged = options;
-  merged.integrator.basis = options_.analysis.assembly.integrator.basis;
+  merged.integrator = assembly.integrator;
+  merged.series = assembly.series;
+  merged.hankel = assembly.hankel;
   // Normalized solution: sigma at GPR / gpr gives the unit-GPR distribution;
   // the evaluator works with the actual-GPR sigma directly.
   return post::PotentialEvaluator(model_, solution_->sigma, merged, pool);

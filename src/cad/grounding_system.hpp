@@ -54,24 +54,20 @@ class GroundingSystem {
   [[nodiscard]] static GroundingSystem from_file(const std::string& path,
                                                  const DesignOptions& options = {});
 
-  /// Run (or re-run) the analysis on the serial reference path (cold, no
-  /// shared resources). Sessions evaluating several systems should pass an
-  /// Engine or Study instead.
+  /// Run (or re-run) the analysis on a local serial, cache-off engine (cold,
+  /// no shared resources). Sessions evaluating several systems should pass
+  /// an Engine, or submit() to a Study, instead.
   const Report& analyze();
 
   /// Run against an engine's shared pool, warm cache and solver policy;
   /// phase timings/counters also accumulate into the engine's report.
   const Report& analyze(engine::Engine& engine);
 
-  /// Run as one step of a Study session. The study's physics options must
-  /// equal this system's analysis options (throws ebem::InvalidArgument
-  /// otherwise) — one physics per session is what keeps the shared warm
-  /// cache valid and the post-processing consistent.
-  const Report& analyze(engine::Study& study);
-
-  /// Pipelined flavor of analyze(Study&): submit this system's model to the
-  /// study's scheduler and return the future immediately (same options
-  /// check). Several systems submitted back to back pipeline their
+  /// Submit this system's model to the study's scheduler and return the
+  /// future immediately. The study's physics options must equal this
+  /// system's analysis options (throws ebem::InvalidArgument otherwise) —
+  /// one physics per session is what keeps the post-processing consistent.
+  /// Several systems submitted back to back pipeline their
   /// assemble/factor/solve stages on the engine's shared pool; hand the
   /// future back to adopt() to install the result — cad::search_design
   /// drives its whole candidate ladder this way.
@@ -82,9 +78,12 @@ class GroundingSystem {
   /// the run's phase timings and its exact per-run cache delta.
   const Report& adopt(engine::RunFuture& future);
 
-  /// Post-processing evaluator over the last analyze() solution. A non-null
-  /// `pool` (typically the engine's) is borrowed and must outlive the
-  /// evaluator; otherwise it owns options.num_threads threads.
+  /// Post-processing evaluator over the last analyze() solution, under the
+  /// physics the system was solved with: the integrator, image-series and
+  /// Hankel controls come from options().analysis.assembly, so only
+  /// options.num_threads is read from `options`. A non-null `pool`
+  /// (typically the engine's) is borrowed and must outlive the evaluator;
+  /// otherwise it owns options.num_threads threads.
   [[nodiscard]] post::PotentialEvaluator potential_evaluator(
       const post::PotentialOptions& options = {}, par::ThreadPool* pool = nullptr) const;
 

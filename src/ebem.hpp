@@ -13,7 +13,8 @@
 //   geom::make_rect_grid / make_triangular_grid  — build a grid design
 //   soil::LayeredSoil                            — uniform / layered soil
 //   cad::GroundingSystem                         — mesh + solve + report
-//       (pass an Engine or Study to analyze() to share warm resources)
+//       (pass an Engine to analyze(), or submit() to a Study, to share
+//       warm resources)
 //   cad::search_design                           — the CAD ladder, all
 //       candidates submitted as one pipelined batch on one warm Study
 //   post::PotentialEvaluator / assess_safety     — surface potentials, safety
@@ -62,10 +63,10 @@
 // k+1's assembly overlaps candidate k's factorization/solve tail on the
 // shared pool. Futures offer wait/ready/get plus the run's own PhaseReport
 // and its exact congruence-cache delta (tallied inside the run — correct
-// even while runs share the warm cache concurrently); per-run
-// SubmitOptions (storage budget, residual measurement) are validated at
-// submit time. A run takes the engine's cache for its own physics at
-// submit; a physics change installs a fresh cache while runs of the old
+// even while runs share the warm cache concurrently). Every run executes
+// under the engine's one resolved plan (ExecutionConfig, resolved at
+// construction) and holds only its own cache: it takes the engine's cache
+// for its own physics at submit; a physics change installs a fresh cache while runs of the old
 // physics finish on theirs, so nothing waits. The blocking analyze()/factor()
 // calls are thin submit+get shims over the same pipeline, so both paths
 // produce identical numbers. examples/pipeline.cpp is the walkthrough;
@@ -194,9 +195,9 @@
 // protocol in-process for tests; examples/serve.cpp walks the socket
 // surface end to end.
 //
-// The bem:: free functions (analyze, assemble, solve) remain as serial
-// shims; their option structs carry physics only. Anything that runs more
-// than one analysis should hold an engine::Engine.
+// The bem:: free functions (analyze, assemble, solve) remain as the serial
+// reference path; their option structs carry physics only. Anything that
+// runs more than one analysis should hold an engine::Engine.
 // See examples/quickstart.cpp for a complete walkthrough.
 #pragma once
 

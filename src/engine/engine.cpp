@@ -13,6 +13,18 @@ Engine::Engine(const ExecutionConfig& config)
     owned_pool_.emplace(threads_);
     pool_ = &*owned_pool_;
   }
+  assembly_ = {.num_threads = threads_,
+               .pool = config_.backend == bem::Backend::kThreadPool ? pool_ : nullptr,
+               .schedule = config_.schedule,
+               .loop = config_.loop,
+               .backend = config_.backend,
+               .storage = config_.storage,
+               .measure_column_costs = config_.measure_column_costs};
+  solve_ = {.pool = pool_,
+            .kind = config_.solver,
+            .cg_tolerance = config_.cg_tolerance,
+            .cg_max_iterations = config_.cg_max_iterations,
+            .measure_residual = config_.measure_residual};
 }
 
 Engine::~Engine() {
@@ -37,15 +49,13 @@ SchedulerStats Engine::scheduler_stats() {
 }
 
 RunFuture Engine::submit(bem::BemModel model, const bem::AnalysisOptions& options,
-                         const SubmitOptions& overrides, RunCallback on_complete) {
-  return scheduler().submit(std::move(model), options, overrides, std::move(on_complete));
+                         RunCallback on_complete) {
+  return scheduler().submit(std::move(model), options, std::move(on_complete));
 }
 
 FactorFuture Engine::submit_factor(bem::BemModel model, const bem::AnalysisOptions& options,
-                                   const SubmitOptions& overrides,
                                    FactorCallback on_complete) {
-  return scheduler().submit_factor(std::move(model), options, overrides,
-                                   std::move(on_complete));
+  return scheduler().submit_factor(std::move(model), options, std::move(on_complete));
 }
 
 void Engine::drain() {
@@ -78,18 +88,9 @@ std::shared_ptr<bem::CongruenceCache> Engine::cache_for(const soil::LayeredSoil&
   std::shared_ptr<bem::CongruenceCache> replaced;
   const std::scoped_lock lock(cache_mutex_);
   if (cache_ == nullptr || !cache_->serves(soil, options)) {
-    replaced = std::exchange(
-        cache_, std::make_shared<bem::CongruenceCache>(soil, options, config_.congruence_quantum,
-                                                       config_.cache_max_entries));
+    replaced = std::exchange(cache_, std::make_shared<bem::CongruenceCache>(soil, options));
   }
   return cache_;
-}
-
-bem::SolveExecution Engine::solve_execution() const {
-  return {.pool = pool_,
-          .cholesky_block = config_.cholesky_block,
-          .matvec_parallel_cutoff = config_.matvec_parallel_cutoff,
-          .measure_residual = config_.measure_residual};
 }
 
 bem::AnalysisResult Engine::analyze(const bem::BemModel& model,

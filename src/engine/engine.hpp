@@ -23,13 +23,16 @@
 //     runs interleave on the shared pool — assembly of candidate k+1
 //     overlaps the factorization/solve tail of candidate k.
 //
-// Configuration happens once, through a validated engine::ExecutionConfig.
-// The blocking analyze()/factor() calls are thin submit+get shims over the
-// same pipeline, so both paths produce identical numbers by construction.
-// The bem:: free functions remain as serial shims; anything that runs more
-// than one analysis should hold an Engine (or an engine::Study bound to
-// one) instead — and anything that runs *independent* analyses should
-// submit() them instead of blocking one by one.
+// Configuration happens once, through a validated engine::ExecutionConfig
+// that the constructor resolves into one assembly plan and one solve plan;
+// every run reads those and holds only its own congruence cache. The
+// blocking analyze()/factor() calls are thin submit+get shims over the same
+// pipeline, so both paths produce identical numbers by construction.
+// bem::analyze stays as the serial reference oracle (a width-1, cache-off
+// engine matches it bit for bit); anything that runs more than one analysis
+// should hold an Engine (or an engine::Study bound to one) — and anything
+// that runs *independent* analyses should submit() them instead of blocking
+// one by one.
 #pragma once
 
 #include <memory>
@@ -84,12 +87,9 @@ class Engine {
   /// carries the AnalysisResult, this run's PhaseReport and its exact
   /// congruence-cache delta. Independent submits pipeline: up to
   /// config().pipeline_width runs have stages in flight at once, sharing
-  /// the engine's pool and warm cache. Per-run `overrides` (storage budget,
-  /// residual measurement) are validated here, on the submitting thread.
-  /// `on_complete` is invoked once when the run ends (Scheduler::submit has
-  /// the contract).
+  /// the engine's pool and warm cache. `on_complete` is invoked once when
+  /// the run ends (Scheduler::submit has the contract).
   [[nodiscard]] RunFuture submit(bem::BemModel model, const bem::AnalysisOptions& options = {},
-                                 const SubmitOptions& overrides = {},
                                  RunCallback on_complete = {});
 
   /// Submit an assemble+factor run; the future yields a FactoredSystem that
@@ -99,7 +99,6 @@ class Engine {
   /// engine's pool and report — the Engine must outlive it.
   [[nodiscard]] FactorFuture submit_factor(bem::BemModel model,
                                            const bem::AnalysisOptions& options = {},
-                                           const SubmitOptions& overrides = {},
                                            FactorCallback on_complete = {});
 
   /// Block until every run submitted so far is terminal (completion
@@ -128,10 +127,6 @@ class Engine {
   [[nodiscard]] FactoredSystem factor(const bem::BemModel& model,
                                       const bem::AnalysisOptions& options = {});
 
-  /// The solve phase's execution plan (pool, Cholesky block, matvec
-  /// crossover, residual check) as the config resolves it.
-  [[nodiscard]] bem::SolveExecution solve_execution() const;
-
  private:
   friend class Scheduler;
 
@@ -150,6 +145,10 @@ class Engine {
   std::size_t threads_;
   std::optional<par::ThreadPool> owned_pool_;
   par::ThreadPool* pool_ = nullptr;
+  // The config resolved once: every run assembles under assembly_ (plus its
+  // own cache) and solves under solve_ (plus its matrix's ordering).
+  bem::AssemblyExecution assembly_;
+  bem::SolveExecution solve_;
   PhaseReport report_;
   mutable std::mutex cache_mutex_;
   std::shared_ptr<bem::CongruenceCache> cache_;  ///< current physics' cache

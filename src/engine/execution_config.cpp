@@ -20,10 +20,7 @@ void ExecutionConfig::validate() const {
                 "ExecutionConfig: num_threads contradicts the supplied pool's size; "
                 "set num_threads = 0 to adopt the pool's worker count");
   }
-  EBEM_EXPECT(congruence_quantum > 0.0, "ExecutionConfig: congruence quantum must be positive");
-  EBEM_EXPECT(cache_max_entries >= 1, "ExecutionConfig: cache_max_entries must be at least 1");
   EBEM_EXPECT(cg_tolerance > 0.0, "ExecutionConfig: cg_tolerance must be positive");
-  EBEM_EXPECT(cholesky_block >= 1, "ExecutionConfig: cholesky_block must be at least 1");
   la::validate_storage_config(storage, "ExecutionConfig");
   EBEM_EXPECT(pipeline_width >= 1, "ExecutionConfig: pipeline_width must be at least 1");
 }

@@ -1,21 +1,15 @@
 // The single execution contract of an engine::Engine: every knob that
 // describes *how* analyses run — worker threads, schedules, backends, the
-// congruence-cache policy, the solver choice and its tolerances — in one
-// validated struct, configured once per session.
-//
-// Before the Engine existed these knobs were smeared across four option
-// structs (AssemblyOptions, SolverOptions, AnalysisOptions, DesignOptions),
-// each carrying its own num_threads/pool pair with subtly different
-// semantics; the worst of them — SolverOptions::pool being silently ignored
-// whenever num_threads stayed 1 — is exactly the class of contradiction
-// validate() now rejects up front.
+// congruence-cache switch, the solver choice and its tolerances, matrix
+// storage — in one validated struct, configured once per session. The
+// Engine resolves it once, at construction, into the bem::AssemblyExecution
+// and bem::SolveExecution every run reads; the option structs
+// (AnalysisOptions, AssemblyOptions) carry physics only.
 #pragma once
 
 #include <cstddef>
 
 #include "src/bem/assembly.hpp"
-#include "src/bem/congruence_cache.hpp"
-#include "src/bem/pair_signature.hpp"
 #include "src/bem/solver.hpp"
 #include "src/parallel/schedule.hpp"
 
@@ -63,21 +57,17 @@ struct ExecutionConfig {
   /// nearby systems (design ladders, estimation sweeps) replay each other's
   /// elemental blocks. A cache serves one physics (soil + assembly
   /// options); a run with other physics gets a fresh, empty cache.
+  /// The cache quantizes signatures by bem::kDefaultCongruenceQuantum and
+  /// holds at most bem::CongruenceCache::kDefaultMaxEntries blocks.
   bool use_congruence_cache = true;
-  double congruence_quantum = bem::kDefaultCongruenceQuantum;
-  std::size_t cache_max_entries = bem::CongruenceCache::kDefaultMaxEntries;
 
   // --- solver ------------------------------------------------------------
+  // The direct solver factors in panels of la::CholeskyOptions::block DoFs;
+  // the pooled matvec (PCG's A*p, the residual check) goes serial below
+  // la::SymMatrix::kParallelCutoff.
   bem::SolverKind solver = bem::SolverKind::kCholesky;
   double cg_tolerance = 1e-12;
   std::size_t cg_max_iterations = 0;  ///< 0 = automatic
-  std::size_t cholesky_block = 64;
-  /// Serial/parallel crossover of the pooled symmetric matvec (PCG's A*p
-  /// and the direct path's residual check): systems smaller than this take
-  /// the bitwise-serial walk. The compile-time default
-  /// (la::SymMatrix::kParallelCutoff) was measured once on one machine;
-  /// this knob lets a session tune the crossover without recompiling.
-  std::size_t matvec_parallel_cutoff = la::SymMatrix::kParallelCutoff;
   /// Report the direct solver's achieved relative residual on SolveStats.
   /// The check costs one O(N^2) matvec per solve — under a spill-backed
   /// storage budget that is a full re-page of the matrix — so out-of-core
@@ -114,7 +104,7 @@ struct ExecutionConfig {
   [[nodiscard]] std::size_t resolved_threads() const;
 
   /// Throws ebem::InvalidArgument on any internal contradiction (thread /
-  /// pool mismatch, non-positive tolerances or quanta). Engine construction
+  /// pool mismatch, a non-positive tolerance, a broken storage policy). Engine construction
   /// validates exactly once; the config is immutable afterwards.
   void validate() const;
 };

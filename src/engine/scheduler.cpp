@@ -1,17 +1,14 @@
 #include "src/engine/scheduler.hpp"
 
 #include <algorithm>
-#include <span>
+#include <optional>
 #include <utility>
 
 #include "src/common/error.hpp"
 #include "src/common/timer.hpp"
 #include "src/engine/counters.hpp"
 #include "src/engine/engine.hpp"
-#include "src/la/blas1.hpp"
 #include "src/la/cholesky.hpp"
-#include "src/la/permutation.hpp"
-#include "src/parallel/thread_pool.hpp"
 
 namespace ebem::engine {
 
@@ -28,7 +25,6 @@ struct RunState {
   bool factor_only = false;
   bem::BemModel model;
   bem::AnalysisOptions options;
-  bem::AnalysisExecution execution;  ///< engine plumbing + per-run overrides
   std::uint64_t sequence = 0;
   Engine* engine = nullptr;
   /// Set before the run is queued; taken and called once by finish_run.
@@ -110,34 +106,14 @@ bool cancel_run(RunState& run) {
   return true;
 }
 
-/// The engine's execution policy in bem terms; the run's cache is attached
-/// separately, per physics.
-bem::AnalysisExecution execution_of(Engine& engine) {
-  const ExecutionConfig& config = engine.config();
-  bem::AnalysisExecution execution;
-  execution.assembly = {
-      .num_threads = engine.num_threads(),
-      .pool = config.backend == bem::Backend::kThreadPool ? engine.pool() : nullptr,
-      .schedule = config.schedule,
-      .loop = config.loop,
-      .backend = config.backend,
-      .storage = config.storage,
-      .measure_column_costs = config.measure_column_costs};
-  execution.solver = {.kind = config.solver,
-                      .cg_tolerance = config.cg_tolerance,
-                      .cg_max_iterations = config.cg_max_iterations};
-  execution.solve = engine.solve_execution();
-  return execution;
-}
-
-void stage_assemble(RunState& run) {
+void stage_assemble(RunState& run, const bem::AssemblyExecution& plan) {
   WallTimer wall;
   CpuTimer cpu;
-  bem::AssemblyResult assembled =
-      bem::assemble(run.model, run.options.assembly, run.execution.assembly);
+  bem::AssemblyExecution execution = plan;
+  execution.cache = run.cache.get();
+  bem::AssemblyResult assembled = bem::assemble(run.model, run.options.assembly, execution);
   run.report.add(Phase::kMatrixGeneration, wall.seconds(), cpu.seconds());
   if (run.cache != nullptr) {
-    run.execution.assembly.cache = nullptr;
     run.cache.reset();
     // The assembly tallied its own lookups, so this is exact even with other
     // runs hitting the shared cache concurrently.
@@ -149,12 +125,10 @@ void stage_assemble(RunState& run) {
   run.assembled = std::move(assembled);
 }
 
-void stage_factor(RunState& run) {
+void stage_factor(RunState& run, const bem::SolveExecution& plan) {
   WallTimer wall;
   CpuTimer cpu;
-  run.factor.emplace(run.assembled->matrix,
-                     la::CholeskyOptions{.block = run.execution.solve.cholesky_block,
-                                         .pool = run.execution.solve.pool});
+  run.factor.emplace(run.assembled->matrix, la::CholeskyOptions{.pool = plan.pool});
   run.report.add(Phase::kLinearSolve, wall.seconds(), cpu.seconds());
   run.report.add_counter(kFactorizationsCounter, 1.0);
   if (run.factor_only) {
@@ -173,45 +147,20 @@ void stage_factor(RunState& run) {
   }
 }
 
-void stage_solve(RunState& run) {
+void stage_solve(RunState& run, bem::SolveExecution plan) {
   bem::AssemblyResult& system = *run.assembled;
   WallTimer wall;
   CpuTimer cpu;
   bem::SolveStats stats;
+  plan.ordering = system.ordering.get();
+  // The direct path substitutes through the factor stage's L — the tail of
+  // the blocking solve, split at the factorization so the O(N^3) part
+  // pipelined separately; the iterative path had no factor stage.
   std::vector<double> sigma_hat;
-  if (run.execution.solver.kind == bem::SolverKind::kCholesky) {
-    // The factor stage already built L; substitute and optionally measure
-    // the achieved residual — the same arithmetic bem::solve runs, split at
-    // the factorization so the O(N^3) part pipelined separately. Under a
-    // geometric ordering the factor and matrix live in internal order:
-    // gather the rhs, do everything there, scatter the solution at the end.
-    const bem::SolveExecution& exec = run.execution.solve;
-    const la::Permutation* ordering = system.ordering.get();
-    const la::Cholesky& factor = *run.factor;
-    std::vector<double> gathered_rhs;
-    std::span<const double> rhs = system.rhs;
-    if (ordering != nullptr) {
-      gathered_rhs = ordering->gather(system.rhs);
-      rhs = gathered_rhs;
-    }
-    std::vector<double> x = factor.solve(rhs);
-    stats.iterations = 0;
-    stats.factor_tiles = factor.tile_stats();
-    if (exec.measure_residual) {
-      std::vector<double> r(rhs.begin(), rhs.end());
-      std::vector<double> ax(rhs.size());
-      system.matrix.multiply(x, ax, exec.pool, exec.matvec_parallel_cutoff);
-      la::axpy(-1.0, ax, r);
-      const double b_norm = la::nrm2(rhs);
-      stats.relative_residual = b_norm > 0.0 ? la::nrm2(r) / b_norm : 0.0;
-    }
-    sigma_hat = ordering != nullptr ? ordering->scatter(x) : std::move(x);
+  if (run.factor.has_value()) {
+    sigma_hat = bem::substitute(*run.factor, system.matrix, system.rhs, plan, &stats);
   } else {
-    // Iterative path: no factor stage ran; this is exactly the blocking
-    // solve (including its permutation boundary).
-    bem::SolveExecution exec = run.execution.solve;
-    exec.ordering = system.ordering.get();
-    sigma_hat = bem::solve(system.matrix, system.rhs, run.execution.solver, exec, &stats);
+    sigma_hat = bem::solve(system.matrix, system.rhs, plan, &stats);
   }
   run.report.add(Phase::kLinearSolve, wall.seconds(), cpu.seconds());
 
@@ -233,10 +182,6 @@ void stage_solve(RunState& run) {
 }  // namespace
 
 // ------------------------------------------------------------- futures ---
-
-void SubmitOptions::validate() const {
-  if (storage.has_value()) la::validate_storage_config(*storage, "SubmitOptions");
-}
 
 bool FutureBase::ready() const {
   EBEM_EXPECT(valid(), "ready() on an empty run future");
@@ -321,26 +266,18 @@ Scheduler::~Scheduler() {
 }
 
 std::shared_ptr<RunState> Scheduler::make_run(bem::BemModel model,
-                                              const bem::AnalysisOptions& options,
-                                              const SubmitOptions& overrides, bool factor_only,
+                                              const bem::AnalysisOptions& options, bool factor_only,
                                               detail::Completion on_complete) {
   // Everything that can be rejected is rejected here, on the submitting
   // thread — never on an executor mid-pipeline.
   EBEM_EXPECT(options.gpr > 0.0, "GPR must be positive");
-  overrides.validate();
 
   auto run = std::make_shared<RunState>(std::move(model));
   run->factor_only = factor_only;
   run->options = options;
-  run->execution = execution_of(engine_);
-  if (overrides.storage.has_value()) run->execution.assembly.storage = *overrides.storage;
-  if (overrides.measure_residual.has_value()) {
-    run->execution.solve.measure_residual = *overrides.measure_residual;
-  }
   // Taken at submit, so which cache a run replays follows submission order,
   // not which executor happens to start its assembly first.
   run->cache = engine_.cache_for(run->model.soil(), options.assembly);
-  run->execution.assembly.cache = run->cache.get();
   run->engine = &engine_;
   run->on_complete = std::move(on_complete);
 
@@ -377,17 +314,16 @@ detail::Completion Scheduler::completion(std::function<void(Future)> callback) {
 }
 
 RunFuture Scheduler::submit(bem::BemModel model, const bem::AnalysisOptions& options,
-                            const SubmitOptions& overrides, RunCallback on_complete) {
-  return RunFuture(make_run(std::move(model), options, overrides, /*factor_only=*/false,
+                            RunCallback on_complete) {
+  return RunFuture(make_run(std::move(model), options, /*factor_only=*/false,
                             completion(std::move(on_complete))));
 }
 
 FactorFuture Scheduler::submit_factor(bem::BemModel model, const bem::AnalysisOptions& options,
-                                      const SubmitOptions& overrides,
                                       FactorCallback on_complete) {
   // The handles are direct-solver by definition; the configured solver
   // policy governs analysis runs only (same contract as Engine::factor).
-  return FactorFuture(make_run(std::move(model), options, overrides, /*factor_only=*/true,
+  return FactorFuture(make_run(std::move(model), options, /*factor_only=*/true,
                                completion(std::move(on_complete))));
 }
 
@@ -439,13 +375,13 @@ void Scheduler::execute_stage(const Task& task) {
   try {
     switch (task.stage) {
       case kStageAssemble:
-        stage_assemble(run);
+        stage_assemble(run, engine_.assembly_);
         break;
       case kStageFactor:
-        stage_factor(run);
+        stage_factor(run, engine_.solve_);
         break;
       default:
-        stage_solve(run);
+        stage_solve(run, engine_.solve_);
         break;
     }
   } catch (...) {
@@ -456,7 +392,7 @@ void Scheduler::execute_stage(const Task& task) {
 
   int next = -1;
   if (task.stage == kStageAssemble) {
-    const bool direct = run.execution.solver.kind == bem::SolverKind::kCholesky;
+    const bool direct = engine_.solve_.kind == bem::SolverKind::kCholesky;
     next = (run.factor_only || direct) ? kStageFactor : kStageSolve;
   } else if (task.stage == kStageFactor && !run.factor_only) {
     next = kStageSolve;

@@ -46,36 +46,16 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <vector>
 
 #include "src/bem/analysis.hpp"
 #include "src/engine/factored_system.hpp"
-#include "src/la/tile_store.hpp"
 
 namespace ebem::engine {
 
 class Engine;
 class Scheduler;
-
-/// Per-run overrides of the engine's session-wide execution policy,
-/// validated at submit() time — a bad override throws ebem::InvalidArgument
-/// on the submitting thread, never on an executor mid-pipeline.
-struct SubmitOptions {
-  /// Storage policy of this run's matrix (and factor) stores. Note that a
-  /// residency budget is per store per run: with pipeline_width runs in
-  /// flight the session's resident total is up to width x budget, so a
-  /// session-level cap should be divided across the width before
-  /// submitting.
-  std::optional<la::StorageConfig> storage;
-  /// Override ExecutionConfig::measure_residual for this run.
-  std::optional<bool> measure_residual;
-
-  /// Throws ebem::InvalidArgument on contradictions (zero tile size, a
-  /// residency budget without a spill_dir).
-  void validate() const;
-};
 
 enum class RunStatus {
   kQueued,     ///< submitted, no stage started yet (cancellable)
@@ -191,10 +171,9 @@ class Scheduler {
   /// engine. It is dropped right after the call, so capturing a handle to
   /// whatever owns the future forms no lasting cycle.
   [[nodiscard]] RunFuture submit(bem::BemModel model, const bem::AnalysisOptions& options,
-                                 const SubmitOptions& overrides, RunCallback on_complete = {});
+                                 RunCallback on_complete = {});
   [[nodiscard]] FactorFuture submit_factor(bem::BemModel model,
                                            const bem::AnalysisOptions& options,
-                                           const SubmitOptions& overrides,
                                            FactorCallback on_complete = {});
 
   /// Block until every run submitted so far is terminal. A completion
@@ -219,8 +198,7 @@ class Scheduler {
 
   std::shared_ptr<detail::RunState> make_run(bem::BemModel model,
                                              const bem::AnalysisOptions& options,
-                                             const SubmitOptions& overrides, bool factor_only,
-                                             detail::Completion on_complete);
+                                             bool factor_only, detail::Completion on_complete);
   void enqueue(Task task);
   void executor_loop();
   void execute_stage(const Task& task);

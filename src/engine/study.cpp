@@ -7,10 +7,8 @@ namespace ebem::engine {
 Study::Study(Engine& engine, bem::AnalysisOptions options)
     : engine_(&engine), options_(std::move(options)) {}
 
-RunFuture Study::submit(bem::BemModel model, const SubmitOptions& overrides,
-                        RunCallback on_complete) {
-  RunFuture future =
-      engine_->submit(std::move(model), options_, overrides, std::move(on_complete));
+RunFuture Study::submit(bem::BemModel model, RunCallback on_complete) {
+  RunFuture future = engine_->submit(std::move(model), options_, std::move(on_complete));
   // Counted only after submit() accepted the run — a validation throw above
   // must not inflate runs().
   runs_.fetch_add(1, std::memory_order_relaxed);

@@ -37,8 +37,7 @@ class Study {
   /// share the warm cache; the future's cache_delta() is this run's exact
   /// hit/miss tally. `on_complete` is invoked once when the run ends
   /// (Scheduler::submit has the contract).
-  [[nodiscard]] RunFuture submit(bem::BemModel model, const SubmitOptions& overrides = {},
-                                 RunCallback on_complete = {});
+  [[nodiscard]] RunFuture submit(bem::BemModel model, RunCallback on_complete = {});
 
   /// Analyze one model under the study's physics, against the engine's warm
   /// resources — the blocking submit+get shim. Safe to call with

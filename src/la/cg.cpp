@@ -69,9 +69,8 @@ CgResult conjugate_gradient(const SymMatrix& a, std::span<const double> b,
                             const CgOptions& options) {
   LinearOperator op;
   op.size = a.size();
-  op.apply = [&a, pool = options.pool,
-              cutoff = options.parallel_cutoff](std::span<const double> x, std::span<double> y) {
-    a.multiply(x, y, pool, cutoff);
+  op.apply = [&a, pool = options.pool](std::span<const double> x, std::span<double> y) {
+    a.multiply(x, y, pool);
   };
   if (options.jacobi_preconditioner) op.diagonal = a.diagonal();
   return conjugate_gradient(op, b, options);

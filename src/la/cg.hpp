@@ -33,11 +33,8 @@ struct CgOptions {
   bool jacobi_preconditioner = true;
   /// Non-owning worker pool: parallelizes the dominant A*p product of the
   /// SymMatrix overload (the O(N) vector updates stay serial). Null = serial.
+  /// Systems below SymMatrix::kParallelCutoff take the serial walk.
   par::ThreadPool* pool = nullptr;
-  /// Serial/parallel crossover of the pooled matvec (see
-  /// SymMatrix::kParallelCutoff); engine::ExecutionConfig threads a session
-  /// override through here.
-  std::size_t parallel_cutoff = SymMatrix::kParallelCutoff;
 };
 
 struct CgResult {

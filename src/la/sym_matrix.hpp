@@ -59,9 +59,8 @@ class SymMatrix {
   /// Below this dimension the pooled multiply falls back to the serial walk
   /// (bitwise identical to the pool-less overload): dispatching two parallel
   /// regions costs more than the whole matvec — measured 0.37x "speedup" at
-  /// 4 threads on a 169-DoF PCG solve with the old 128 cutoff. This is the
-  /// *default* crossover; engine::ExecutionConfig::matvec_parallel_cutoff
-  /// tunes it per session without recompiling.
+  /// 4 threads on a 169-DoF PCG solve with the old 128 cutoff. Every solve
+  /// path uses this crossover; the multiply's argument exists for tests.
   static constexpr std::size_t kParallelCutoff = 512;
 
   /// y = A x on `pool`'s workers: tile rows are split into weight-balanced

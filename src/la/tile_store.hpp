@@ -105,8 +105,8 @@ struct StorageConfig {
 
 /// Validate one storage policy; throws ebem::InvalidArgument with messages
 /// prefixed by `context` (e.g. "ExecutionConfig"). The single source of the
-/// storage invariants, shared by the session-level config validator and the
-/// engine's per-run submit overrides so the two paths cannot drift.
+/// storage invariants, shared by the session-level config validator and
+/// make_tile_store() so the two cannot drift.
 void validate_storage_config(const StorageConfig& config, const char* context);
 
 /// Tile geometry of an n x n symmetric matrix: the lower triangle is covered

@@ -75,13 +75,13 @@ std::string Dispatcher::handle_submit(const SubmitRequest& request) {
     // never outlives the run.
     if (request.factor_solve) {
       engine::FactorFuture future = session->engine().submit_factor(
-          std::move(model), session->study().options(), {},
+          std::move(model), session->study().options(),
           [this, record](engine::FactorFuture done) { complete(*record, std::move(done)); });
       const std::scoped_lock lock(record->mutex);
       if (!record->done) record->factor_future = std::move(future);
     } else {
       engine::RunFuture future = session->study().submit(
-          std::move(model), {},
+          std::move(model),
           [this, record](engine::RunFuture done) { complete(*record, std::move(done)); });
       const std::scoped_lock lock(record->mutex);
       if (!record->done) record->run_future = std::move(future);
@@ -197,18 +197,15 @@ void Dispatcher::complete(RunRecord& record, Future future) {
   report.cache_misses = run_phase.counter(bem::kCacheMissesCounter);
   try {
     if constexpr (std::is_same_v<Future, engine::FactorFuture>) {
-      // Answer the unit-GPR problem by substitution, then rescale — exactly
-      // finish_analysis()'s arithmetic, so both wire paths agree to the
-      // last bit modulo the solver route.
-      engine::FactoredSystem system = future.take();
-      std::vector<double> sigma = system.solve();
-      const double normalized_current = la::dot(system.rhs(), sigma);
-      EBEM_ENSURE(normalized_current > 0.0, "non-positive total leakage current");
-      const double gpr = record.session->config().gpr;
-      report.equivalent_resistance = 1.0 / normalized_current;
-      report.total_current = gpr * normalized_current;
-      la::scal(gpr, sigma);
-      report.sigma_l2 = std::sqrt(la::dot(sigma, sigma));
+      // Answer the unit-GPR problem by substitution, then rescale through
+      // the analysis path's own scale_to_gpr(), so both wire paths agree to
+      // the last bit modulo the solver route.
+      const engine::FactoredSystem system = future.take();
+      const bem::AnalysisResult scaled =
+          bem::scale_to_gpr(system.rhs(), system.solve(), record.session->config().gpr);
+      report.equivalent_resistance = scaled.equivalent_resistance;
+      report.total_current = scaled.total_current;
+      report.sigma_l2 = std::sqrt(la::dot(scaled.sigma, scaled.sigma));
     } else {
       const bem::AnalysisResult& result = future.get();
       report.equivalent_resistance = result.equivalent_resistance;

@@ -6,6 +6,7 @@
 #include "src/common/error.hpp"
 #include "src/bem/analysis.hpp"
 #include "src/common/math_utils.hpp"
+#include "src/engine/engine.hpp"
 #include "src/geom/grid_builder.hpp"
 #include "src/geom/mesh.hpp"
 
@@ -198,8 +199,8 @@ TEST(Analysis, PhaseReportCapturesMatrixGenerationDominance) {
   const BemModel model(geom::Mesh::build(geom::make_rect_grid(spec)),
                        soil::LayeredSoil::two_layer(0.005, 0.016, 1.0));
   PhaseReport report;
-  AnalysisOptions options;
-  (void)analyze(model, options, &report);
+  engine::Engine engine;
+  (void)engine.analyze(model, {}, &report);
   EXPECT_GT(report.cpu_seconds(Phase::kMatrixGeneration), 0.0);
   EXPECT_GT(report.cpu_fraction(Phase::kMatrixGeneration), 0.5);
 }

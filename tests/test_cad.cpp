@@ -3,6 +3,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <vector>
 
 #include "src/common/error.hpp"
 #include "src/cad/cases.hpp"
@@ -88,6 +89,28 @@ TEST(GroundingSystem, PotentialEvaluatorUsesActualGpr) {
   const double v = evaluator.at({10, 10, 0});
   EXPECT_GT(v, 1000.0);  // potentials scale with the 10 kV GPR
   EXPECT_LT(v, 10e3);
+}
+
+TEST(GroundingSystem, PotentialEvaluatorTakesTheSystemsPhysics) {
+  // The evaluator must integrate under the series/Hankel controls the
+  // system was solved with, whatever the caller passes.
+  GroundingSystem system(small_grid(), soil::LayeredSoil::two_layer(0.005, 0.016, 1.0));
+  system.analyze();
+  const bem::AssemblyOptions& assembly = system.options().analysis.assembly;
+  post::PotentialOptions own;
+  own.integrator = assembly.integrator;
+  own.series = assembly.series;
+  own.hankel = assembly.hankel;
+  post::PotentialOptions loose = own;
+  loose.series.tolerance = 10.0 * assembly.series.tolerance;
+
+  const std::vector<geom::Vec3> points{{10, 10, 0}, {25, 5, 0}, {-3, 12, 0}, {40, 40, 0}};
+  const std::vector<double> expected =
+      post::PotentialEvaluator(system.model(), system.solution().sigma, own).at(points);
+  EXPECT_EQ(system.potential_evaluator(loose).at(points), expected);
+  // The looser series really changes the values, so the check has teeth.
+  EXPECT_NE(post::PotentialEvaluator(system.model(), system.solution().sigma, loose).at(points),
+            expected);
 }
 
 TEST(GroundingSystem, MeasuredColumnCostsForwarded) {

@@ -15,6 +15,7 @@
 #include "src/bem/congruence_cache.hpp"
 #include "src/bem/pair_signature.hpp"
 #include "src/common/error.hpp"
+#include "src/engine/engine.hpp"
 #include "src/geom/grid_builder.hpp"
 #include "src/geom/mesh.hpp"
 #include "src/parallel/thread_pool.hpp"
@@ -361,11 +362,9 @@ TEST(CongruenceCache, ExternalCacheReusedAcrossAssemblies) {
 
 TEST(CongruenceCache, StatsReportedThroughPhaseReport) {
   const BemModel model = uniform_model(2);
-  CongruenceCache cache(model.soil());
-  AnalysisExecution execution;
-  execution.assembly.cache = &cache;
+  engine::Engine engine;  // the default config keeps a warm cache
   PhaseReport report;
-  const AnalysisResult result = analyze(model, {}, execution, &report);
+  const AnalysisResult result = engine.analyze(model, {}, &report);
 
   EXPECT_EQ(static_cast<std::size_t>(report.counter(kCacheHitsCounter)),
             result.cache_stats.hits);
@@ -376,16 +375,14 @@ TEST(CongruenceCache, StatsReportedThroughPhaseReport) {
 }
 
 TEST(CongruenceCache, PhaseReportCountsPerRunDeltasForExternalCache) {
-  // Repeated analyze() calls sharing one cache must each add their own
-  // tally to the report, not re-add history.
+  // Repeated analyze() calls sharing the engine's one cache must each add
+  // their own tally to the report, not re-add history.
   const BemModel model = uniform_model(2);
   const std::size_t pairs = model.element_count() * (model.element_count() + 1) / 2;
-  CongruenceCache cache(model.soil());
-  AnalysisExecution execution;
-  execution.assembly.cache = &cache;
+  engine::Engine engine;
   PhaseReport report;
-  (void)analyze(model, {}, execution, &report);
-  (void)analyze(model, {}, execution, &report);
+  (void)engine.analyze(model, {}, &report);
+  (void)engine.analyze(model, {}, &report);
   // Two runs look up every pair once each; the warm second run adds pure hits.
   EXPECT_DOUBLE_EQ(report.counter(kCacheHitsCounter) +
                        report.counter(kCacheMissesCounter),

@@ -13,6 +13,7 @@
 #include "src/bem/assembly.hpp"
 #include "src/bem/far_field.hpp"
 #include "src/bem/pair_signature.hpp"
+#include "src/engine/engine.hpp"
 #include "src/geom/grid_builder.hpp"
 #include "src/geom/mesh.hpp"
 #include "src/la/compressed_tile_store.hpp"
@@ -333,12 +334,13 @@ TEST(FarField, ParallelFarFieldBuildIsDeterministic) {
 TEST(FarField, CompressedAnalysisSolvesToDenseParity) {
   const BemModel model = long_grid_model(4, 60);
   const AnalysisOptions options;
-  AnalysisExecution dense_execution;
-  AnalysisExecution compressed = dense_execution;
-  compressed.assembly = compressed_execution();
+  engine::ExecutionConfig compressed;
+  compressed.use_congruence_cache = false;
+  compressed.storage = compressed_execution().storage;
+  engine::Engine compressed_engine(compressed);
 
-  const AnalysisResult reference = analyze(model, options, dense_execution);
-  const AnalysisResult result = analyze(model, options, compressed);
+  const AnalysisResult reference = analyze(model, options);
+  const AnalysisResult result = compressed_engine.analyze(model, options);
 
   EXPECT_NEAR(result.equivalent_resistance, reference.equivalent_resistance,
               1e-7 * reference.equivalent_resistance);

@@ -238,7 +238,7 @@ TEST(Ordering, IdentityOrderingSolvesBitwiseLikeUnordered) {
   bem::SolveExecution execution;
   execution.ordering = &identity;
   const std::vector<double> ordered =
-      bem::solve(assembled.matrix, assembled.rhs, {}, execution, nullptr);
+      bem::solve(assembled.matrix, assembled.rhs, execution);
   ASSERT_EQ(ordered.size(), plain.size());
   for (std::size_t i = 0; i < plain.size(); ++i) EXPECT_EQ(ordered[i], plain[i]);
 }

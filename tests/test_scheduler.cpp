@@ -2,8 +2,8 @@
 // out-of-order consumption, parity of the pipelined path against the
 // blocking and serial references at every thread count, warm-cache
 // correctness under concurrent submits (shared hits within one physics, a
-// cache of its own for each physics), per-run override validation at
-// submit time, error propagation and cancellation, the thread-safety of
+// cache of its own for each physics), option validation at submit time,
+// error propagation and cancellation, the thread-safety of
 // the PhaseReport sink the concurrent runs merge into, and the completion
 // callback contract (once per run, on every ending, no cycles).
 #include <gtest/gtest.h>
@@ -125,13 +125,13 @@ TEST(Scheduler, CompletionCallbackFiresOnceForADoneRun) {
   std::atomic<bool> factor_ok{false};
   {
     Engine engine;
-    RunFuture future = engine.submit(bench_model(3), {}, {}, [&](RunFuture done) {
+    RunFuture future = engine.submit(bench_model(3), {}, [&](RunFuture done) {
       // Terminal, published and readable from inside the callback.
       analysis_ok = done.ready() && done.status() == RunStatus::kDone &&
                     done.get().equivalent_resistance > 0.0;
       analysis_calls.fetch_add(1);
     });
-    FactorFuture factor = engine.submit_factor(bench_model(3), {}, {}, [&](FactorFuture done) {
+    FactorFuture factor = engine.submit_factor(bench_model(3), {}, [&](FactorFuture done) {
       factor_ok = done.status() == RunStatus::kDone && done.take().size() > 0;
       factor_calls.fetch_add(1);
     });
@@ -153,7 +153,7 @@ TEST(Scheduler, CompletionCallbackFiresOnceForAFailedRun) {
   std::atomic<bool> rethrows{false};
   {
     Engine engine(config);
-    RunFuture future = engine.submit(bench_model(3), {}, {}, [&](RunFuture done) {
+    RunFuture future = engine.submit(bench_model(3), {}, [&](RunFuture done) {
       EXPECT_EQ(done.status(), RunStatus::kFailed);
       try {
         (void)done.get();
@@ -177,7 +177,7 @@ TEST(Scheduler, CompletionCallbackFiresOnceForARunCancelledWhileQueued) {
   {
     Engine engine(config);
     RunFuture slow = engine.submit(bench_model(10));
-    RunFuture queued = engine.submit(bench_model(2), {}, {}, [&](RunFuture done) {
+    RunFuture queued = engine.submit(bench_model(2), {}, [&](RunFuture done) {
       saw_cancelled = done.status() == RunStatus::kCancelled;
       calls.fetch_add(1);
     });
@@ -199,7 +199,7 @@ TEST(Scheduler, EngineDestructionReturnsOnlyAfterEveryCallbackRan) {
     config.pipeline_width = 2;
     Engine engine(config);
     for (int k = 0; k < kRuns; ++k) {
-      (void)engine.submit(bench_model(2), {}, {}, [&calls](RunFuture) {
+      (void)engine.submit(bench_model(2), {}, [&calls](RunFuture) {
         // Slow callbacks: the destructor must still wait for every one.
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
         calls.fetch_add(1);
@@ -227,8 +227,7 @@ TEST(Scheduler, CallbackHoldingItsFuturesOwnerDoesNotLeak) {
     RunFuture slow = engine.submit(bench_model(10));
     auto owner = std::make_shared<Owner>();
     watch = owner;
-    owner->future = engine.submit(bench_model(2), {}, {},
-                                  [owner, &fired](RunFuture) { fired = true; });
+    owner->future = engine.submit(bench_model(2), {}, [owner, &fired](RunFuture) { fired = true; });
     owner.reset();
     EXPECT_FALSE(watch.expired());  // alive through the cycle alone
     slow.wait();
@@ -461,45 +460,14 @@ TEST(Scheduler, AlternatingPhysicsRunsNeverReplayEachOthersBlocks) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-run overrides and error propagation
+// Submit-time validation and error propagation
 // ---------------------------------------------------------------------------
 
 TEST(Scheduler, BrokenOverridesAndOptionsThrowAtSubmitTime) {
   Engine engine;
-  const bem::BemModel model = bench_model(2);
-
-  SubmitOptions bad_storage;
-  bad_storage.storage = la::StorageConfig{.tile_size = 0};
-  EXPECT_THROW((void)engine.submit(model, {}, bad_storage), ebem::InvalidArgument);
-
-  SubmitOptions budget_without_dir;
-  budget_without_dir.storage =
-      la::StorageConfig{.tile_size = 16, .residency_budget_bytes = 1 << 16, .spill_dir = ""};
-  EXPECT_THROW((void)engine.submit(model, {}, budget_without_dir), ebem::InvalidArgument);
-
   bem::AnalysisOptions bad_gpr;
   bad_gpr.gpr = 0.0;
-  EXPECT_THROW((void)engine.submit(model, bad_gpr), ebem::InvalidArgument);
-}
-
-TEST(Scheduler, PerRunStorageOverrideSpillsJustThatRun) {
-  const bem::BemModel model = bench_model(4);
-  Engine engine;
-  const bem::AnalysisResult in_memory = engine.analyze(model);
-  EXPECT_EQ(in_memory.matrix_tiles.evictions, 0u);
-
-  SubmitOptions spilled;
-  la::StorageConfig storage;
-  storage.tile_size = 16;
-  storage.residency_budget_bytes =
-      la::TileLayout(in_memory.sigma.size(), 16).total_bytes() / 3;
-  spilled.storage = storage;
-  RunFuture future = engine.submit(model, {}, spilled);
-  const bem::AnalysisResult& result = future.get();
-  EXPECT_GT(result.matrix_tiles.evictions, 0u);
-  expect_sigma_near(result.sigma, in_memory.sigma, "spilled run");
-  // The pager counters of the overridden run landed on the session report.
-  EXPECT_GT(engine.report().counter(kTileEvictionsCounter), 0.0);
+  EXPECT_THROW((void)engine.submit(bench_model(2), bad_gpr), ebem::InvalidArgument);
 }
 
 TEST(Scheduler, StageFailureIsRethrownByTheFuture) {
