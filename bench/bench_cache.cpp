@@ -6,6 +6,9 @@
 //  * a geometrically graded grid, the adversarial low-congruence case the
 //    cache must degrade gracefully on.
 // One JSON line per (grid, threads) for artifact archiving and diffing.
+// Each line also carries the warm re-assembly time: a second pass through
+// the cache the first pass filled (every pair a hit), as a median of
+// repeats, and its speed-up over the 1-thread line of the same grid.
 //
 // Usage: bench_cache [cells] [max_threads] [--check] [--warm]
 //   cells        grid cells per side (default 12 -> 312 elements)
@@ -24,6 +27,7 @@
 // (bench/compare_bench.py vs bench/baselines/): the hit rates gate on
 // every run, the timings once the baseline's pool_threads matches the
 // runner's. See bench/baselines/README.md for re-baselining.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -49,6 +53,17 @@ double max_rel_diff(std::span<const double> a, std::span<const double> b) {
     worst = std::max(worst, std::abs(a[k] - b[k]) / scale);
   }
   return worst;
+}
+
+double median_of(int repeats, const auto& run) {
+  std::vector<double> seconds;
+  for (int r = 0; r < repeats; ++r) {
+    WallTimer timer;
+    run();
+    seconds.push_back(timer.seconds());
+  }
+  std::sort(seconds.begin(), seconds.end());
+  return seconds[seconds.size() / 2];
 }
 
 double best_of(int repeats, const auto& run) {
@@ -178,6 +193,7 @@ int main(int argc, char** argv) {
   bool parity_ok = true;
   for (const GridCase& grid : cases) {
     const std::size_t m = grid.model.element_count();
+    double seconds_warm_1 = 0.0;
     for (std::size_t threads = 1; threads <= max_threads; threads *= 2) {
       par::ThreadPool pool(threads);
       bem::AssemblyExecution execution;
@@ -199,6 +215,15 @@ int main(int argc, char** argv) {
         execution.cache = nullptr;
       });
 
+      // Warm re-assembly: fill one cache, then time passes that replay it.
+      bem::CongruenceCache warm_cache(grid.model.soil());
+      execution.cache = &warm_cache;
+      (void)bem::assemble(grid.model, {}, execution);
+      const double seconds_warm =
+          median_of(21, [&] { (void)bem::assemble(grid.model, {}, execution); });
+      execution.cache = nullptr;
+      if (threads == 1) seconds_warm_1 = seconds_warm;
+
       const double diff = max_rel_diff(off.matrix.packed(), on.matrix.packed());
       const bool ok = diff <= 1e-12;
       parity_ok = parity_ok && ok;
@@ -206,12 +231,14 @@ int main(int argc, char** argv) {
           "{\"bench\":\"cache\",\"grid\":\"%s\",\"elements\":%zu,\"pairs\":%zu,"
           "\"threads\":%zu,\"hits\":%zu,\"misses\":%zu,\"entries\":%zu,"
           "\"hit_rate\":%.4f,\"seconds_off\":%.6f,\"seconds_on\":%.6f,"
-          "\"speedup\":%.3f,\"max_rel_diff\":%.3e,\"parity_ok\":%s,"
+          "\"speedup\":%.3f,\"seconds_warm\":%.6f,\"warm_speedup_vs_1\":%.3f,"
+          "\"max_rel_diff\":%.3e,\"parity_ok\":%s,"
           "\"matrix_bytes_resident\":%zu,\"hw_concurrency\":%zu,\"pool_threads\":%zu,"
           "\"peak_rss_kb\":%zu}\n",
           grid.name, m, on.element_pairs, threads, on.cache_stats.hits, on.cache_stats.misses,
           on.cache_stats.entries, on.cache_stats.hit_rate(), seconds_off, seconds_on,
-          seconds_off / seconds_on, diff, ok ? "true" : "false",
+          seconds_off / seconds_on, seconds_warm, seconds_warm_1 / seconds_warm, diff,
+          ok ? "true" : "false",
           on.matrix.tile_stats().resident_bytes, par::hardware_threads(), threads,
           peak_rss_bytes() / 1024);
     }

@@ -1,4 +1,4 @@
-// Strong-scaling bench for the two heavy phases: fused streaming assembly
+// Strong-scaling bench for the two heavy phases: segmented parallel assembly
 // and the blocked Cholesky factorization (plus PCG), emitting one JSON line
 // per (phase, threads) so runs can be archived and diffed over time
 // (BENCH_scaling.json at the repo root holds the reference trajectory).
@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
   std::vector<std::size_t> thread_counts;
   for (std::size_t t = 1; t <= max_threads; t *= 2) thread_counts.push_back(t);
 
-  // --- Phase 1: fused streaming assembly on the grid. -----------------------
+  // --- Phase 1: segmented parallel assembly on the grid. --------------------
   double assembly_base = 0.0;
   bem::AssemblyResult system;
   for (const std::size_t threads : thread_counts) {

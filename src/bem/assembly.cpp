@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cstdint>
 #include <mutex>
 #include <optional>
+#include <vector>
 
 #include "src/bem/far_field.hpp"
 #include "src/common/error.hpp"
@@ -19,39 +21,47 @@ namespace ebem::bem {
 
 namespace {
 
-/// Concurrent accumulation view of the tiled symmetric matrix: each add
-/// locks the lock of the *tile* holding the entry (tile ids beyond the lock
-/// array share locks by modulus, which only ever over-serializes). An
-/// elemental 2x2 block maps to at most four tiles, and with the
-/// element-pair integration costing orders of magnitude more than the
-/// scatter, contention is negligible. Entry writes go through
-/// SymMatrix::add, so the same path drives the in-memory arena and the
-/// out-of-core spill pager (whose own pin bookkeeping is thread-safe; the
-/// tile lock makes the read-modify-write of the entry atomic).
-class TileLockedMatrix {
+/// One worker's accumulation buffer for an assembly *segment*: test element
+/// beta against a contiguous range of source elements alpha. Line p holds
+/// row global_dof(beta, p) of the full matrix, indexed by external column
+/// DoF; a touched-index list per line keeps the flush and the reset
+/// proportional to what the segment wrote, so a one-pair segment (the inner
+/// loop's finest chunk) costs O(1), not O(n).
+class SegmentBuffer {
  public:
-  explicit TileLockedMatrix(la::SymMatrix& matrix) : matrix_(matrix) {}
+  SegmentBuffer(std::size_t lines, std::size_t n)
+      : n_(n), sums_(lines * n, 0.0), seen_(lines * n, 0), touched_(lines) {}
 
-  void add(std::size_t j, std::size_t i, double value) {
-    const la::TileLayout& layout = matrix_.layout();
-    const std::size_t hi = std::max(i, j);
-    const std::size_t lo = std::min(i, j);
-    const std::size_t tile = layout.tile_index(layout.tile_of(hi), layout.tile_of(lo));
-    const std::scoped_lock lock(locks_[tile % kLocks].mutex);
-    matrix_.add(hi, lo, value);
+  void add(std::size_t line, std::size_t i, double value) {
+    const std::size_t k = line * n_ + i;
+    if (seen_[k] == 0) {
+      seen_[k] = 1;
+      touched_[line].push_back(i);
+    }
+    sums_[k] += value;
+  }
+
+  /// visit(i, sum) for every touched entry of `line` in first-touch order,
+  /// resetting the line as it goes.
+  template <typename Visit>
+  void drain(std::size_t line, Visit&& visit) {
+    for (const std::size_t i : touched_[line]) {
+      const std::size_t k = line * n_ + i;
+      visit(i, sums_[k]);
+      sums_[k] = 0.0;
+      seen_[k] = 0;
+    }
+    touched_[line].clear();
   }
 
  private:
-  static constexpr std::size_t kLocks = 256;
-  struct alignas(64) Lock {
-    std::mutex mutex;
-  };
-
-  la::SymMatrix& matrix_;
-  std::array<Lock, kLocks> locks_;
+  std::size_t n_;
+  std::vector<double> sums_;
+  std::vector<std::uint8_t> seen_;
+  std::vector<std::vector<std::size_t>> touched_;
 };
 
-/// Scatter one elemental block into the global symmetric matrix.
+/// Add one elemental block to the segment buffer.
 ///
 /// Only the element-pair triangle beta <= alpha is computed; the reversed
 /// ordered pair (alpha as test, beta as trial) is the transpose by kernel
@@ -63,31 +73,23 @@ class TileLockedMatrix {
 ///    global pair, except when the elements share a node and j == i, where
 ///    both the pair and its transpose hit the same diagonal entry — that
 ///    contribution enters twice.
-///
-/// `Sink` is either the bare SymMatrix (sequential path) or a
-/// TileLockedMatrix (fused streaming path); both expose add-compatible
-/// entry access.
-template <typename Sink>
 void scatter(const BemModel& model, BasisKind basis, std::size_t beta, std::size_t alpha,
-             const LocalMatrix& local, Sink&& add) {
+             const LocalMatrix& local, SegmentBuffer& buffer) {
   const std::size_t locals = model.local_dof_count(basis);
-  if (beta == alpha) {
-    for (std::size_t p = 0; p < locals; ++p) {
-      const std::size_t j = model.global_dof(basis, beta, p);
-      for (std::size_t q = p; q < locals; ++q) {
-        const std::size_t i = model.global_dof(basis, alpha, q);
-        // Symmetrize: the analytic-inner/Gauss-outer split introduces a tiny
-        // quadrature-level asymmetry the Galerkin form does not have.
-        add(j, i, 0.5 * (local.value[p][q] + local.value[q][p]));
-      }
-    }
-    return;
-  }
   for (std::size_t p = 0; p < locals; ++p) {
     const std::size_t j = model.global_dof(basis, beta, p);
+    if (beta == alpha) {
+      // Symmetrize: the analytic-inner/Gauss-outer split introduces a tiny
+      // quadrature-level asymmetry the Galerkin form does not have.
+      for (std::size_t q = p; q < locals; ++q) {
+        buffer.add(p, model.global_dof(basis, alpha, q),
+                   0.5 * (local.value[p][q] + local.value[q][p]));
+      }
+      continue;
+    }
     for (std::size_t q = 0; q < locals; ++q) {
       const std::size_t i = model.global_dof(basis, alpha, q);
-      add(j, i, (j == i) ? 2.0 * local.value[p][q] : local.value[p][q]);
+      buffer.add(p, i, (j == i) ? 2.0 * local.value[p][q] : local.value[p][q]);
     }
   }
 }
@@ -149,45 +151,23 @@ AssemblyResult assemble(const BemModel& model, const AssemblyOptions& options,
   result.rhs = build_rhs(model, basis);
   result.element_pairs = m * (m + 1) / 2;
 
-  // Congruence cache: referenced, never owned — a null cache means the
-  // cached element_pair overload degenerates to the plain computation.
-  // Hits/misses are tallied here, per run, so they stay exact while other
-  // runs share the cache. One relaxed fetch_add per pair is noise next to
-  // the pair integration itself.
-  CongruenceCache* cache = execution.cache;
-  std::atomic<std::size_t> tally_hits{0};
-  std::atomic<std::size_t> tally_misses{0};
-  const auto finalize_stats = [&] {
-    if (cache != nullptr) {
-      result.cache_stats.hits = tally_hits.load(std::memory_order_relaxed);
-      result.cache_stats.misses = tally_misses.load(std::memory_order_relaxed);
-      result.cache_stats.entries = cache->entries();
-    }
-    result.matrix_tiles = result.matrix.tile_stats();
-  };
-  const auto tally = [&](bool hit) {
-    if (cache == nullptr) return;
-    (hit ? tally_hits : tally_misses).fetch_add(1, std::memory_order_relaxed);
-  };
-
-  const bool sequential = execution.num_threads == 1 && execution.pool == nullptr &&
-                          !execution.measure_column_costs;
-
-  // Worker pool, hoisted ahead of the pair loop so the far-field builder can
-  // share it. The sequential path and the OpenMP backend own no pool.
+  // One worker and no pool is the serial reference path, whatever the
+  // backend: it runs on a one-thread pool (no thread is spawned), so it
+  // shares every line below with the pooled paths and a one-thread pool
+  // assembly is bitwise equal to it.
+  const bool openmp = execution.backend == Backend::kOpenMp &&
+                      (execution.num_threads > 1 || execution.pool != nullptr);
   std::optional<par::ThreadPool> owned_pool;
-  par::ThreadPool* pool = execution.pool;
-  if (pool == nullptr && execution.backend == Backend::kThreadPool && !sequential) {
-    owned_pool.emplace(execution.num_threads);
-    pool = &*owned_pool;
-  }
+  if (execution.pool == nullptr && !openmp) owned_pool.emplace(execution.num_threads);
+  par::ThreadPool* pool = owned_pool ? &*owned_pool : execution.pool;
+  const std::size_t workers = openmp ? execution.num_threads : pool->num_threads();
 
   // --- far-field compression ---------------------------------------------
   // With compression enabled the matrix store is the low-rank backend:
   // partition the tile square, build the admissible blocks by ACA (their
   // entries are the *full* Galerkin sums over incident element pairs), then
   // run the usual pair loop with two filters — pairs whose every entry lands
-  // in a covered tile are skipped outright (the O(M^2) win), and scatter
+  // in a covered tile are skipped outright (the O(M^2) win), and the flush
   // drops the covered entries of partially covered pairs (already inside a
   // factor; writing them would both double-count and hit read-only tiles).
   la::CompressedTileStore* compressed = nullptr;
@@ -198,16 +178,17 @@ AssemblyResult assemble(const BemModel& model, const AssemblyOptions& options,
                 "compression-enabled storage must be backed by a CompressedTileStore");
     const FarFieldPartition partition =
         partition_far_field(model, basis, layout, execution.storage.compression, perm);
-    par::ThreadPool* build_pool = execution.backend == Backend::kThreadPool ? pool : nullptr;
-    build_far_field(*compressed, model, basis, integrator, partition, build_pool,
-                    result.far_field, perm, cache);
+    build_far_field(*compressed, model, basis, integrator, partition, openmp ? nullptr : pool,
+                    result.far_field, perm, execution.cache);
   }
-  // Takes *internal* (storage-order) indices — callers map through the
-  // permutation first, exactly once per entry.
+  // Packed index of the tile holding *internal* (storage-order) entry
+  // (j, i) — callers map through the permutation first, once per entry.
+  const auto tile_of_entry = [&](std::size_t j, std::size_t i) {
+    return layout.tile_index(layout.tile_of(std::max(i, j)), layout.tile_of(std::min(i, j)));
+  };
   const auto entry_is_far = [&](std::size_t j, std::size_t i) {
-    const std::size_t hi = std::max(i, j);
-    const std::size_t lo = std::min(i, j);
-    return compressed->tile_is_low_rank(layout.tile_of(hi), layout.tile_of(lo));
+    return compressed->tile_is_low_rank(layout.tile_of(std::max(i, j)),
+                                        layout.tile_of(std::min(i, j)));
   };
   const std::size_t locals = model.local_dof_count(basis);
   const auto pair_is_far = [&](std::size_t beta, std::size_t alpha) {
@@ -220,87 +201,102 @@ AssemblyResult assemble(const BemModel& model, const AssemblyOptions& options,
     }
     return true;
   };
-  std::atomic<std::size_t> pairs_skipped{0};
-  const auto finalize_compression = [&] {
-    if (compressed == nullptr) return;
-    result.compression = compressed->compression_stats();
-    result.far_field.pairs_skipped = pairs_skipped.load(std::memory_order_relaxed);
-    result.far_field.pairs_near = result.element_pairs - result.far_field.pairs_skipped;
+
+  // Segmented scheme: a worker integrates one segment (element beta
+  // against a range of alpha) into its own SegmentBuffer, then flushes the
+  // segment into the matrix once. Concurrent flushes hold the tile's lock
+  // for each run of entries in one tile (tiles beyond the lock array share
+  // locks by modulus, which only over-serializes); a single worker flushes
+  // unlocked. Entry writes go through SymMatrix::add, so the same path
+  // drives the in-memory arena and the out-of-core spill pager (whose pin
+  // bookkeeping is thread-safe on its own). Hits, misses and skipped pairs
+  // are tallied per segment, so they stay exact per run while other runs
+  // share the cache, at one atomic add per segment.
+  struct alignas(64) TileLock {
+    std::mutex mutex;
+  };
+  constexpr std::size_t kMaxTileLocks = 256;
+  std::vector<TileLock> locks(workers > 1 ? std::min(layout.tile_count(), kMaxTileLocks) : 0);
+  std::vector<SegmentBuffer> buffers(workers, SegmentBuffer(locals, n));
+  std::array<std::atomic<std::size_t>, 3> totals{};  // hits, misses, skipped pairs
+  const auto run_segment = [&](std::size_t worker, std::size_t beta, std::size_t alpha_begin,
+                               std::size_t alpha_end) {
+    SegmentBuffer& buffer = buffers[worker];
+    std::array<std::size_t, 3> tally{};  // hits, misses, skipped
+    for (std::size_t alpha = alpha_begin; alpha < alpha_end; ++alpha) {
+      if (pair_is_far(beta, alpha)) {
+        ++tally[2];
+        continue;
+      }
+      bool hit = false;
+      const LocalMatrix local =
+          integrator.element_pair(elements[beta], elements[alpha], execution.cache, &hit);
+      ++tally[hit ? 0 : 1];
+      scatter(model, basis, beta, alpha, local, buffer);
+    }
+    std::unique_lock<std::mutex> held;
+    std::size_t held_lock = locks.size();
+    for (std::size_t p = 0; p < locals; ++p) {
+      const std::size_t jj = internal_dof(model.global_dof(basis, beta, p));
+      buffer.drain(p, [&](std::size_t i, double sum) {
+        const std::size_t ii = internal_dof(i);
+        if (compressed != nullptr && entry_is_far(jj, ii)) return;
+        const std::size_t lock = locks.empty() ? held_lock : tile_of_entry(jj, ii) % locks.size();
+        if (lock != held_lock) {
+          if (held.owns_lock()) held.unlock();  // holding two tile locks could deadlock
+          held = std::unique_lock(locks[lock].mutex);
+          held_lock = lock;
+        }
+        result.matrix.add(jj, ii, sum);
+      });
+    }
+    for (std::size_t k = 0; k < 3; ++k) totals[k].fetch_add(tally[k], std::memory_order_relaxed);
   };
 
-  if (sequential) {
-    // Original sequential scheme: compute and assemble inside the loop.
-    for (std::size_t beta = 0; beta < m; ++beta) {
-      for (std::size_t alpha = beta; alpha < m; ++alpha) {
-        if (pair_is_far(beta, alpha)) {
-          pairs_skipped.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        }
-        bool hit = false;
-        const LocalMatrix local =
-            integrator.element_pair(elements[beta], elements[alpha], cache, &hit);
-        tally(hit);
-        scatter(model, basis, beta, alpha, local, [&](std::size_t j, std::size_t i, double v) {
-          const std::size_t jj = internal_dof(j);
-          const std::size_t ii = internal_dof(i);
-          if (compressed != nullptr && entry_is_far(jj, ii)) return;
-          result.matrix.add(jj, ii, v);
-        });
-      }
+  // body(segments, worker) over [0, count): the pool hands out schedule
+  // chunks; the OpenMP backend schedules one index per segment.
+  const auto for_segments = [&](std::size_t count, const auto& body) {
+    if (openmp) {
+      par::openmp_parallel_for(execution.num_threads, count, execution.schedule,
+                               [&](std::size_t k, std::size_t worker) {
+                                 body(par::ChunkRange{k, k + 1}, worker);
+                               });
+    } else {
+      par::parallel_for_chunks(*pool, count, execution.schedule, body);
     }
-    finalize_compression();
-    finalize_stats();
-    return result;
-  }
-
-  // Fused streaming scheme: each worker computes an elemental matrix and
-  // immediately accumulates it into the global matrix through the per-tile
-  // locks — no per-pair storage, no serial scatter pass. With one thread
-  // this degenerates to the sequential order, so timing-only runs
-  // (measure_column_costs) stay bitwise identical to the sequential path.
-  TileLockedMatrix striped(result.matrix);
-  const auto fused_pair = [&](std::size_t beta, std::size_t alpha) {
-    if (pair_is_far(beta, alpha)) {
-      pairs_skipped.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    bool hit = false;
-    const LocalMatrix local =
-        integrator.element_pair(elements[beta], elements[alpha], cache, &hit);
-    tally(hit);
-    scatter(model, basis, beta, alpha, local, [&](std::size_t j, std::size_t i, double v) {
-      const std::size_t jj = internal_dof(j);
-      const std::size_t ii = internal_dof(i);
-      if (compressed != nullptr && entry_is_far(jj, ii)) return;
-      striped.add(jj, ii, v);
-    });
   };
   if (execution.measure_column_costs) result.column_costs.assign(m, 0.0);
-
-  const auto run_loop = [&](std::size_t count, const auto& body) {
-    if (execution.backend == Backend::kOpenMp) {
-      par::openmp_parallel_for(execution.num_threads, count, execution.schedule, body);
-    } else {
-      par::parallel_for(*pool, count, execution.schedule, body);
-    }
-  };
-
   if (execution.loop == ParallelLoop::kOuter) {
-    run_loop(m, [&](std::size_t beta) {
-      WallTimer timer;
-      for (std::size_t alpha = beta; alpha < m; ++alpha) fused_pair(beta, alpha);
-      if (!result.column_costs.empty()) result.column_costs[beta] = timer.seconds();
+    // A segment is a whole column.
+    for_segments(m, [&](par::ChunkRange columns, std::size_t worker) {
+      for (std::size_t beta = columns.begin; beta < columns.end; ++beta) {
+        WallTimer timer;
+        run_segment(worker, beta, beta, m);
+        if (!result.column_costs.empty()) result.column_costs[beta] = timer.seconds();
+      }
     });
   } else {
+    // A segment is one chunk of a column's rows.
     for (std::size_t beta = 0; beta < m; ++beta) {
       WallTimer timer;
-      const std::size_t rows = m - beta;
-      run_loop(rows, [&](std::size_t r) { fused_pair(beta, beta + r); });
+      for_segments(m - beta, [&](par::ChunkRange rows, std::size_t worker) {
+        run_segment(worker, beta, beta + rows.begin, beta + rows.end);
+      });
       if (!result.column_costs.empty()) result.column_costs[beta] = timer.seconds();
     }
   }
-  finalize_compression();
-  finalize_stats();
+
+  if (execution.cache != nullptr) {  // referenced, never owned
+    result.cache_stats.hits = totals[0].load(std::memory_order_relaxed);
+    result.cache_stats.misses = totals[1].load(std::memory_order_relaxed);
+    result.cache_stats.entries = execution.cache->entries();
+  }
+  if (compressed != nullptr) {
+    result.compression = compressed->compression_stats();
+    result.far_field.pairs_skipped = totals[2].load(std::memory_order_relaxed);
+    result.far_field.pairs_near = result.element_pairs - result.far_field.pairs_skipped;
+  }
+  result.matrix_tiles = result.matrix.tile_stats();
   return result;
 }
 

@@ -4,24 +4,25 @@
 // The element-pair loop is the triangle beta = 0..M-1, alpha = beta..M-1
 // ("a triangle of M columns, of which the first one has M rows and the last
 // one has 1 row"). Execution modes:
-//   * sequential: compute each elemental matrix and assemble it immediately;
+//   * sequential: the parallel outer or inner loop on a single worker;
 //   * parallel outer loop: columns are distributed across threads under an
 //     OpenMP-style schedule (coarse granularity; the paper's pick);
 //   * parallel inner loop: columns run sequentially, the rows of each column
 //     are distributed (the lower-granularity alternative of Fig. 6.1).
 //
-// Parallel modes use a *fused streaming* scheme: every worker scatters each
-// elemental matrix into the global tiled symmetric matrix as soon as it is
-// computed, synchronized by per-tile locks — an elemental 2x2 block maps to
-// at most four tiles of the la::TileStore backing the matrix, so the scheme
-// works unchanged whether the store is the in-memory arena or the
-// out-of-core spill pager. Because the element-pair integration dominates
-// the scatter by orders of magnitude, the tile locks are essentially
-// uncontended; peak memory stays at the lower-triangle tiles of the result
-// matrix itself — or at the pager's residency budget when one is set. (The
-// seed's two-phase scheme instead materialized all M(M+1)/2 elemental
-// blocks before a serial scatter pass — O(M^2) extra memory and a serial
-// Amdahl term.)
+// Every mode runs one *segmented* scheme. A segment is element beta against
+// a range of alpha: a column under the outer loop, one schedule chunk of a
+// column under the inner loop. A worker adds a segment's elemental blocks
+// into its own O(n) buffer, then flushes it into the tiled symmetric matrix
+// once, taking each tile's lock once per run of entries in that tile; one
+// worker flushes unlocked, and with no pool given the sequential mode runs
+// the same code on a one-thread pool, so the two are bitwise equal. Writes
+// go through SymMatrix::add, so the in-memory arena and the out-of-core
+// spill pager work alike. (Locking each entry instead made 4 threads slower
+// than 1 on a warm 220-element grid, where a pair replays in a few hundred
+// ns; the seed's two-phase scheme materialized all M(M+1)/2 elemental
+// blocks before a serial scatter pass — O(M^2) memory and a serial Amdahl
+// term.)
 #pragma once
 
 #include <cstddef>

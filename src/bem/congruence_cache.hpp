@@ -4,7 +4,7 @@
 // copy (uniform rectangular grids repeat a handful of geometries tens of
 // thousands of times; see pair_signature.hpp for the invariance argument).
 //
-// Concurrency model matches the fused streaming assembly: a read-mostly
+// Concurrency model matches the segmented parallel assembly: a read-mostly
 // sharded hash map. Signatures are distributed over 64 independently locked
 // shards by their high hash bits, so concurrent workers contend only when
 // they touch the same shard at the same instant; after warm-up nearly every

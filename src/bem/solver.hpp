@@ -2,7 +2,7 @@
 // the paper's preferred diagonally preconditioned conjugate gradient.
 // Both paths parallelize over a worker pool: the blocked Cholesky runs its
 // panel solve and trailing update across threads, PCG its matrix-vector
-// product — so the solve phase scales alongside the fused assembly instead
+// product — so the solve phase scales alongside the parallel assembly instead
 // of capping end-to-end speed-up (Amdahl).
 #pragma once
 

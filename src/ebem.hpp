@@ -83,8 +83,8 @@
 // single-node memory assemble, multiply and factor out of core, with
 // eviction/IO counters on the session PhaseReport), and
 // la::CompressedTileStore (H-matrix; set ExecutionConfig::storage
-// .compression). Every consumer walks tiles: the fused assembly scatter
-// locks per tile, the blocked Cholesky uses panel = tile column,
+// .compression). Every consumer walks tiles: the assembly flushes each
+// segment a tile run at a time, the blocked Cholesky uses panel = tile column,
 // SymMatrix::multiply and PCG stream the triangle tile by tile.
 // examples/out_of_core.cpp is the walkthrough.
 //

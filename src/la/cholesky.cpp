@@ -80,8 +80,10 @@ void Cholesky::panel_solve(std::size_t kt, par::ThreadPool* pool) {
       }
     }
   };
+  // A single work item runs inline: opening a pool region for it would only
+  // queue this factor behind other runs' regions.
   const std::size_t tiles = tile_rows - kt - 1;
-  if (pool == nullptr) {
+  if (pool == nullptr || tiles == 1) {
     for (std::size_t r = 0; r < tiles; ++r) solve_tile(kt + 1 + r);
     return;
   }
@@ -122,7 +124,7 @@ void Cholesky::trailing_update(std::size_t kt, par::ThreadPool* pool) {
   // Flattened (it, jt) pairs with kt < jt <= it; tile cost grows with the
   // tile-row index, the profile the guided schedule balances.
   const std::size_t m = tile_rows - kt - 1;
-  const std::size_t pairs = m * (m + 1) / 2;
+  const std::size_t pairs = m * (m + 1) / 2;  // 1 runs inline, as in panel_solve
   const auto update_pair = [&](std::size_t p) {
     // p = local_i * (local_i + 1) / 2 + local_j over the local triangle.
     auto local_i = static_cast<std::size_t>((std::sqrt(8.0 * static_cast<double>(p) + 1.0) - 1.0) / 2.0);
@@ -131,7 +133,7 @@ void Cholesky::trailing_update(std::size_t kt, par::ThreadPool* pool) {
     const std::size_t local_j = p - local_i * (local_i + 1) / 2;
     update_tile(kt + 1 + local_i, kt + 1 + local_j);
   };
-  if (pool == nullptr) {
+  if (pool == nullptr || pairs == 1) {
     for (std::size_t p = 0; p < pairs; ++p) update_pair(p);
     return;
   }

@@ -37,7 +37,9 @@ struct CholeskyOptions {
   /// trailing update resident in cache.
   std::size_t block = 64;
   /// Non-owning worker pool for the panel solve and trailing update;
-  /// null (or a single-thread pool) selects the serial blocked path.
+  /// null (or a single-thread pool) selects the serial blocked path. A step
+  /// with a single tile of work runs inline either way, so a factor of at
+  /// most two tile rows opens no pool region at all.
   par::ThreadPool* pool = nullptr;
   /// Storage policy of the factor's working store (residency budget and
   /// spill directory; the tile size always comes from `block`). Defaults to

@@ -22,7 +22,7 @@
 //     cache on read checkout; near-field tiles stay dense and exact.
 //
 // Tile-walking consumers (SymMatrix::multiply, the blocked Cholesky with
-// panel = tile column, the fused assembly scatter) touch O(1) tiles at a
+// panel = tile column, the assembly's segment flush) touch O(1) tiles at a
 // time, which is what keeps the pager's working set bounded and lets all
 // three backends sit behind one checkout interface.
 #pragma once

@@ -13,7 +13,7 @@ namespace ebem::par {
 bool openmp_available() { return true; }
 
 void openmp_parallel_for(std::size_t num_threads, std::size_t n, const Schedule& schedule,
-                         const std::function<void(std::size_t)>& body) {
+                         const std::function<void(std::size_t, std::size_t)>& body) {
   EBEM_EXPECT(num_threads >= 1, "need at least one thread");
   omp_sched_t kind = omp_sched_dynamic;
   switch (schedule.kind) {
@@ -33,7 +33,7 @@ void openmp_parallel_for(std::size_t num_threads, std::size_t n, const Schedule&
   const auto count = static_cast<long long>(n);
 #pragma omp parallel for schedule(runtime) num_threads(static_cast<int>(num_threads))
   for (long long i = 0; i < count; ++i) {
-    body(static_cast<std::size_t>(i));
+    body(static_cast<std::size_t>(i), static_cast<std::size_t>(omp_get_thread_num()));
   }
 }
 
@@ -42,9 +42,9 @@ void openmp_parallel_for(std::size_t num_threads, std::size_t n, const Schedule&
 bool openmp_available() { return false; }
 
 void openmp_parallel_for(std::size_t num_threads, std::size_t n, const Schedule& /*schedule*/,
-                         const std::function<void(std::size_t)>& body) {
+                         const std::function<void(std::size_t, std::size_t)>& body) {
   EBEM_EXPECT(num_threads >= 1, "need at least one thread");
-  for (std::size_t i = 0; i < n; ++i) body(i);
+  for (std::size_t i = 0; i < n; ++i) body(i, 0);
 }
 
 #endif

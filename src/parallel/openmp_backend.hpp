@@ -19,9 +19,10 @@ namespace ebem::par {
 /// True when the library was built against an OpenMP runtime.
 [[nodiscard]] bool openmp_available();
 
-/// Run body(i) for i in [0, n) under the given schedule with `num_threads`
-/// OpenMP threads. Falls back to a sequential loop without OpenMP.
+/// Run body(i, thread_id) for i in [0, n) under the given schedule with
+/// `num_threads` OpenMP threads (thread_id < num_threads, for per-thread
+/// scratch state). Falls back to a sequential loop on thread 0 without OpenMP.
 void openmp_parallel_for(std::size_t num_threads, std::size_t n, const Schedule& schedule,
-                         const std::function<void(std::size_t)>& body);
+                         const std::function<void(std::size_t, std::size_t)>& body);
 
 }  // namespace ebem::par

@@ -17,15 +17,27 @@
 namespace ebem::bem {
 namespace {
 
-BemModel small_grid_model(const soil::LayeredSoil& soil) {
+BemModel grid_model(const soil::LayeredSoil& soil, std::size_t cells_x, std::size_t cells_y) {
   geom::RectGridSpec spec;
-  spec.length_x = 20.0;
-  spec.length_y = 20.0;
-  spec.cells_x = 2;
-  spec.cells_y = 2;
+  spec.length_x = 10.0 * static_cast<double>(cells_x);
+  spec.length_y = 10.0 * static_cast<double>(cells_y);
+  spec.cells_x = cells_x;
+  spec.cells_y = cells_y;
   spec.depth = 0.8;
   spec.radius = 0.006;
   return BemModel(geom::Mesh::build(geom::make_rect_grid(spec)), soil);
+}
+
+BemModel small_grid_model(const soil::LayeredSoil& soil) { return grid_model(soil, 2, 2); }
+
+/// Every packed entry of `actual` within 1e-12 relative of `expected`.
+void expect_packed_near(const la::SymMatrix& expected, const la::SymMatrix& actual) {
+  const auto a = expected.packed();
+  const auto b = actual.packed();
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    EXPECT_NEAR(a[k], b[k], 1e-12 * std::abs(a[k]) + 1e-15) << "packed index " << k;
+  }
 }
 
 /// Brute-force reference: assemble the FULL dense matrix from all M^2
@@ -159,7 +171,7 @@ struct ParallelCase {
 class ParallelAssembly : public ::testing::TestWithParam<ParallelCase> {};
 
 TEST_P(ParallelAssembly, MatchesSequentialWithinTolerance) {
-  // The fused streaming scheme scatters elemental matrices concurrently, so
+  // Workers flush their segments into the matrix concurrently, so
   // per-entry accumulation order — and nothing else — may differ from the
   // sequential path: parity must hold to tight floating-point reordering
   // tolerance for every schedule / loop mode / backend combination.
@@ -175,13 +187,7 @@ TEST_P(ParallelAssembly, MatchesSequentialWithinTolerance) {
   execution.schedule = c.schedule;
   execution.backend = c.backend;
   const AssemblyResult parallel = assemble(model, {}, execution);
-
-  const auto seq = sequential.matrix.packed();
-  const auto par = parallel.matrix.packed();
-  ASSERT_EQ(seq.size(), par.size());
-  for (std::size_t k = 0; k < seq.size(); ++k) {
-    EXPECT_NEAR(seq[k], par[k], 1e-12 * std::abs(seq[k]) + 1e-15) << "packed index " << k;
-  }
+  expect_packed_near(sequential.matrix, parallel.matrix);
 }
 
 std::vector<ParallelCase> parity_cases() {
@@ -215,6 +221,98 @@ std::vector<ParallelCase> parity_cases() {
 INSTANTIATE_TEST_SUITE_P(ModesSchedulesBackends, ParallelAssembly,
                          ::testing::ValuesIn(parity_cases()),
                          [](const auto& info) { return info.param.name; });
+
+// The segment flush at 4 threads against the sequential path, on the inputs
+// that take its less common branches.
+
+TEST(ParallelAssembly, WarmCacheSecondPassMatchesSequential) {
+  const auto soil = soil::LayeredSoil::two_layer(0.005, 0.016, 1.0);
+  const BemModel model = grid_model(soil, 3, 3);
+  const AssemblyResult sequential = assemble(model, {});
+
+  par::ThreadPool pool(4);
+  CongruenceCache cache(soil);
+  const AssemblyExecution execution{.num_threads = 4, .pool = &pool, .cache = &cache};
+  const AssemblyResult cold = assemble(model, {}, execution);
+  const AssemblyResult warm = assemble(model, {}, execution);
+  EXPECT_GT(cold.cache_stats.misses, 0u);
+  EXPECT_EQ(warm.cache_stats.hits, warm.element_pairs);
+  EXPECT_EQ(warm.cache_stats.misses, 0u);
+  expect_packed_near(sequential.matrix, cold.matrix);
+  expect_packed_near(sequential.matrix, warm.matrix);
+}
+
+TEST(ParallelAssembly, GeometricOrderingWithFarFieldMatchesSequential) {
+  // An elongated grid compresses; the geometric ordering routes every entry
+  // through the permutation, and partially covered pairs drop their
+  // low-rank entries in the flush.
+  const BemModel model = grid_model(soil::LayeredSoil::uniform(0.02), 2, 60);
+  AssemblyExecution serial;
+  serial.storage.tile_size = 32;
+  serial.storage.compression = {
+      .epsilon = 1e-8, .min_block = 32, .max_rank = 64, .min_rank_budget = 8};
+  serial.storage.compression.ordering = la::DofOrdering::kGeometric;
+  const AssemblyResult sequential = assemble(model, {}, serial);
+  ASSERT_NE(sequential.ordering, nullptr);
+  EXPECT_GE(sequential.compression.low_rank_blocks, 1u);
+  EXPECT_GT(sequential.far_field.pairs_skipped, 0u);
+
+  par::ThreadPool pool(4);
+  AssemblyExecution parallel = serial;
+  parallel.num_threads = 4;
+  parallel.pool = &pool;
+  const AssemblyResult result = assemble(model, {}, parallel);
+  EXPECT_EQ(result.far_field.pairs_skipped, sequential.far_field.pairs_skipped);
+  EXPECT_EQ(result.compression.low_rank_blocks, sequential.compression.low_rank_blocks);
+  expect_packed_near(sequential.matrix, result.matrix);
+}
+
+TEST(ParallelAssembly, SpillStorageMatchesSequential) {
+  const BemModel model = grid_model(soil::LayeredSoil::two_layer(0.005, 0.016, 1.0), 4, 4);
+  const AssemblyResult sequential = assemble(model, {});
+
+  par::ThreadPool pool(4);
+  AssemblyExecution execution{.num_threads = 4, .pool = &pool};
+  execution.storage.tile_size = 8;
+  execution.storage.residency_budget_bytes =
+      la::TileLayout(sequential.matrix.size(), 8).total_bytes() / 3;
+  const AssemblyResult spilled = assemble(model, {}, execution);
+  EXPECT_GT(spilled.matrix_tiles.evictions, 0u);
+  expect_packed_near(sequential.matrix, spilled.matrix);
+}
+
+TEST(Assembly, OnePoolThreadIsBitwiseSequential) {
+  // A one-thread pool runs the same segments in the same order as the
+  // pool-less serial path, so the two must agree to the last bit — for
+  // every loop mode, basis, and with or without the congruence cache.
+  const auto soil = soil::LayeredSoil::two_layer(0.005, 0.016, 1.0);
+  const BemModel model = grid_model(soil, 3, 3);
+  par::ThreadPool pool(1);
+  for (const BasisKind basis : {BasisKind::kLinear, BasisKind::kConstant}) {
+    AssemblyOptions options;
+    options.integrator.basis = basis;
+    for (const ParallelLoop loop : {ParallelLoop::kOuter, ParallelLoop::kInner}) {
+      for (const bool cached : {false, true}) {
+        SCOPED_TRACE(testing::Message() << "constant basis " << (basis == BasisKind::kConstant)
+                                        << ", inner loop " << (loop == ParallelLoop::kInner)
+                                        << ", cache " << cached);
+        CongruenceCache serial_cache(soil, options);
+        CongruenceCache pool_cache(soil, options);
+        AssemblyExecution serial{.schedule = par::Schedule::guided(2), .loop = loop};
+        AssemblyExecution pooled = serial;
+        pooled.pool = &pool;
+        if (cached) {
+          serial.cache = &serial_cache;
+          pooled.cache = &pool_cache;
+        }
+        const AssemblyResult a = assemble(model, options, serial);
+        const AssemblyResult b = assemble(model, options, pooled);
+        EXPECT_EQ(a.matrix.packed(), b.matrix.packed());
+        EXPECT_EQ(a.cache_stats.hits, b.cache_stats.hits);
+      }
+    }
+  }
+}
 
 TEST(Assembly, ExternalPoolIsReusedAcrossAssemblies) {
   const auto soil = soil::LayeredSoil::uniform(0.02);

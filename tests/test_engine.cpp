@@ -295,7 +295,7 @@ TEST(Engine, SharedPoolServesAssemblyAndSolve) {
   EXPECT_EQ(engine.pool()->num_threads(), 4u);
 
   const bem::AnalysisResult result = engine.analyze(model);
-  // Fused streaming assembly reorders scatter accumulation only; the
+  // Parallel assembly reorders scatter accumulation only; the
   // blocked parallel Cholesky is bit-identical by construction.
   EXPECT_NEAR(result.equivalent_resistance, reference.equivalent_resistance,
               1e-12 * reference.equivalent_resistance);

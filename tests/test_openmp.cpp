@@ -27,14 +27,15 @@ TEST(OpenMpBackend, VisitsEveryIndexOnce) {
         par::Schedule::dynamic(1), par::Schedule::guided(2)}) {
     std::vector<std::atomic<int>> visits(500);
     par::openmp_parallel_for(3, visits.size(), schedule,
-                             [&](std::size_t i) { visits[i].fetch_add(1); });
+                             [&](std::size_t i, std::size_t) { visits[i].fetch_add(1); });
     for (std::size_t i = 0; i < visits.size(); ++i) EXPECT_EQ(visits[i].load(), 1) << i;
   }
 }
 
 TEST(OpenMpBackend, ZeroIterationsIsANoop) {
   bool touched = false;
-  par::openmp_parallel_for(2, 0, par::Schedule::dynamic(1), [&](std::size_t) { touched = true; });
+  par::openmp_parallel_for(2, 0, par::Schedule::dynamic(1),
+                           [&](std::size_t, std::size_t) { touched = true; });
   EXPECT_FALSE(touched);
 }
 
@@ -56,8 +57,8 @@ TEST(OpenMpBackend, AssemblyMatchesThreadPool) {
   omp_execution.backend = bem::Backend::kOpenMp;
   const bem::AssemblyResult omp_result = bem::assemble(model, {}, omp_execution);
 
-  // Fused streaming assembly scatters concurrently, so the two backends may
-  // differ only by floating-point accumulation order.
+  // Segments flush concurrently, so the two backends may differ only by
+  // floating-point accumulation order.
   const auto a = pool_result.matrix.packed();
   const auto b = omp_result.matrix.packed();
   ASSERT_EQ(a.size(), b.size());
