@@ -270,9 +270,9 @@ AssemblyResult assemble(const BemModel& model, const AssemblyOptions& options,
     // A segment is a whole column.
     for_segments(m, [&](par::ChunkRange columns, std::size_t worker) {
       for (std::size_t beta = columns.begin; beta < columns.end; ++beta) {
-        WallTimer timer;
+        const double start = result.column_costs.empty() ? 0.0 : thread_cpu_seconds();
         run_segment(worker, beta, beta, m);
-        if (!result.column_costs.empty()) result.column_costs[beta] = timer.seconds();
+        if (!result.column_costs.empty()) result.column_costs[beta] = thread_cpu_seconds() - start;
       }
     });
   } else {

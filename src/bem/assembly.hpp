@@ -71,8 +71,10 @@ struct AssemblyExecution {
   /// pager's residency budget for out-of-core assembly). The default is the
   /// fully resident in-memory tile arena.
   la::StorageConfig storage;
-  /// Record the wall-clock cost of each outer column (feeds the schedule
-  /// simulator used by the Fig. 6.1 / Table 6.2 / Table 6.3 benches).
+  /// Record each column's cost for the schedule simulator (bench_paper's
+  /// Tables 6.2-6.3 and Fig. 6.1): the worker thread's CPU time per outer-loop
+  /// column, so a column is not charged for time its thread spent preempted,
+  /// and the wall time of each inner-loop column's parallel region.
   bool measure_column_costs = false;
   /// Congruence cache: non-null integrates each distinct pair geometry once
   /// and replays the 2x2 block for congruent copies (see pair_signature.hpp).

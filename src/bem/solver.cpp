@@ -53,7 +53,7 @@ std::vector<double> solve(const la::SymMatrix& matrix, std::span<const double> r
   if (execution.kind == SolverKind::kCholesky) {
     // The factor's working store inherits the matrix's storage policy, so a
     // spill-backed system factors out of core with the same budget.
-    const la::Cholesky factor(matrix, {.pool = execution.pool});
+    const la::Cholesky factor(matrix, {.pool = execution.pool, .storage = std::nullopt});
     return substitute(factor, matrix, rhs, execution, stats);
   }
 

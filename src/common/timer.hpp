@@ -36,4 +36,8 @@ class CpuTimer {
   static double now();
 };
 
+/// CPU seconds the calling thread has run: the difference of two readings is
+/// the thread's own work, without the time it spent preempted.
+[[nodiscard]] double thread_cpu_seconds();
+
 }  // namespace ebem

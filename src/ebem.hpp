@@ -232,9 +232,7 @@
 #include "src/geom/grid_builder.hpp"
 #include "src/geom/mesh.hpp"
 #include "src/geom/vec3.hpp"
-#include "src/io/csv.hpp"
 #include "src/io/grid_file.hpp"
-#include "src/io/report_writer.hpp"
 #include "src/io/table.hpp"
 #include "src/la/blas1.hpp"
 #include "src/la/cg.hpp"

@@ -128,7 +128,8 @@ void stage_assemble(RunState& run, const bem::AssemblyExecution& plan) {
 void stage_factor(RunState& run, const bem::SolveExecution& plan) {
   WallTimer wall;
   CpuTimer cpu;
-  run.factor.emplace(run.assembled->matrix, la::CholeskyOptions{.pool = plan.pool});
+  run.factor.emplace(run.assembled->matrix,
+                     la::CholeskyOptions{.pool = plan.pool, .storage = std::nullopt});
   run.report.add(Phase::kLinearSolve, wall.seconds(), cpu.seconds());
   run.report.add_counter(kFactorizationsCounter, 1.0);
   if (run.factor_only) {

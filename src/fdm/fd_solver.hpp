@@ -9,8 +9,8 @@
 // Jacobi-PCG solve — for two purposes:
 //  1. an independent cross-check of the BEM equivalent resistance, and
 //  2. a quantitative reproduction of the paper's cost argument (see
-//     bench_fd_vs_bem: ~10^5 unknowns and seconds for one conductor at
-//     percent-level accuracy vs a handful of boundary elements).
+//     bench_paper's FD-vs-BEM section: ~10^5 unknowns and seconds for one
+//     conductor at percent-level accuracy vs a handful of boundary elements).
 //
 // Accuracy caveats (validation-grade by design): the earth is truncated to
 // a box with V = 0 on its far boundary (error ~ box size), and a conductor

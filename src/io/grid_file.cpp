@@ -81,10 +81,4 @@ void write_grid(std::ostream& os, const GridDescription& description) {
   }
 }
 
-void write_grid_file(const std::string& path, const GridDescription& description) {
-  std::ofstream os(path);
-  EBEM_EXPECT(os.good(), "cannot open '" + path + "' for writing");
-  write_grid(os, description);
-}
-
 }  // namespace ebem::io

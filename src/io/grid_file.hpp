@@ -33,6 +33,5 @@ struct GridDescription {
 [[nodiscard]] GridDescription read_grid_file(const std::string& path);
 
 void write_grid(std::ostream& os, const GridDescription& description);
-void write_grid_file(const std::string& path, const GridDescription& description);
 
 }  // namespace ebem::io

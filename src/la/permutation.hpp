@@ -47,9 +47,6 @@ class Permutation {
   [[nodiscard]] const std::vector<std::size_t>& internal_of_external() const {
     return internal_of_external_;
   }
-  [[nodiscard]] const std::vector<std::size_t>& external_of_internal() const {
-    return external_of_internal_;
-  }
 
   /// Gather an external-order vector into internal order:
   /// out[i] = v[to_external(i)]. Throws unless v.size() == size().

@@ -47,16 +47,6 @@ TileLayout::TileLayout(std::size_t n, std::size_t tile_size)
     : n_(n), tile_(std::max<std::size_t>(1, std::min(tile_size, std::max<std::size_t>(1, n)))),
       tile_rows_(n == 0 ? 0 : (n + tile_ - 1) / tile_) {}
 
-TileStoreStats TileStoreStats::delta_since(const TileStoreStats& before) const {
-  TileStoreStats d = *this;
-  d.evictions -= before.evictions;
-  d.spill_writes -= before.spill_writes;
-  d.spill_reads -= before.spill_reads;
-  d.bytes_written -= before.bytes_written;
-  d.bytes_read -= before.bytes_read;
-  return d;
-}
-
 TileGuard& TileGuard::operator=(TileGuard&& other) noexcept {
   if (this != &other) {
     if (store_ != nullptr) store_->commit_index(tile_index_, access_);

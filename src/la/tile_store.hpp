@@ -167,10 +167,6 @@ struct TileStoreStats {
   std::size_t bytes_read = 0;
   std::size_t resident_bytes = 0;       ///< tile bytes in memory right now
   std::size_t peak_resident_bytes = 0;  ///< high-water mark of the above
-
-  /// Counter-only difference (gauges copied from *this) — how a caller turns
-  /// cumulative store stats into a per-phase delta.
-  [[nodiscard]] TileStoreStats delta_since(const TileStoreStats& before) const;
 };
 
 /// Compression outcome of one CompressedTileStore — how much of the dense

@@ -16,7 +16,7 @@ std::string to_string(const Schedule& schedule) {
       break;
   }
   if (schedule.chunk > 0) {
-    name += "," + std::to_string(schedule.chunk);
+    name.append(",").append(std::to_string(schedule.chunk));
   }
   return name;
 }

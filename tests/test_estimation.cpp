@@ -46,7 +46,7 @@ TEST(WennerForward, EqualLayersGiveFlatCurve) {
 
 TEST(WennerForward, RejectsBadSpacing) {
   const auto soil = soil::LayeredSoil::uniform(0.01);
-  EXPECT_THROW(wenner_apparent_resistivity(soil, 0.0), ebem::InvalidArgument);
+  EXPECT_THROW((void)wenner_apparent_resistivity(soil, 0.0), ebem::InvalidArgument);
 }
 
 std::vector<WennerReading> synthetic_survey(const soil::LayeredSoil& soil, double noise,

@@ -30,7 +30,7 @@ TEST(Vec3, DotCrossNorm) {
 }
 
 TEST(Vec3, NormalizedRejectsZero) {
-  EXPECT_THROW(normalized(Vec3{}), InvalidArgument);
+  EXPECT_THROW((void)normalized(Vec3{}), InvalidArgument);
   const Vec3 u = normalized(Vec3{0, 0, 5});
   EXPECT_DOUBLE_EQ(u.z, 1.0);
 }

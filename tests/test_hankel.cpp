@@ -90,7 +90,7 @@ TEST(HankelKernel, MiddleLayerShieldsWhenResistive) {
 
 TEST(HankelKernel, RejectsAirPoints) {
   const HankelKernel kernel(LayeredSoil::uniform(0.01));
-  EXPECT_THROW(kernel.evaluate({0, 0, 1.0}, {0, 0, -1.0}), ebem::InvalidArgument);
+  EXPECT_THROW((void)kernel.evaluate({0, 0, 1.0}, {0, 0, -1.0}), ebem::InvalidArgument);
 }
 
 }  // namespace

@@ -1,10 +1,9 @@
-// Grid file parser/writer, table formatter, CSV writer.
+// Grid file parser/writer and table formatter.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "src/common/error.hpp"
-#include "src/io/csv.hpp"
 #include "src/io/grid_file.hpp"
 #include "src/io/table.hpp"
 
@@ -111,21 +110,6 @@ TEST(Table, RowWidthValidated) {
 TEST(Table, NumPrecision) {
   EXPECT_EQ(Table::num(3.14159, 2), "3.14");
   EXPECT_EQ(Table::num(8.0, 0), "8");
-}
-
-TEST(Csv, WritesHeaderAndColumns) {
-  std::ostringstream os;
-  const std::vector<double> x{1.0, 2.0};
-  const std::vector<double> y{3.0, 4.0};
-  write_csv(os, {"x", "y"}, {x, y});
-  EXPECT_EQ(os.str(), "x,y\n1,3\n2,4\n");
-}
-
-TEST(Csv, RejectsRaggedColumns) {
-  std::ostringstream os;
-  const std::vector<double> x{1.0, 2.0};
-  const std::vector<double> y{3.0};
-  EXPECT_THROW(write_csv(os, {"x", "y"}, {x, y}), ebem::InvalidArgument);
 }
 
 }  // namespace

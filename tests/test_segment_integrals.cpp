@@ -98,12 +98,12 @@ TEST(SegmentPotentials, FarFieldApproachesLengthOverDistance) {
 }
 
 TEST(SegmentPotentials, DegenerateSegmentRejected) {
-  EXPECT_THROW(segment_potentials({1, 0, 0}, {0, 0, 0}, {0, 0, 0}, 0.01),
+  EXPECT_THROW((void)segment_potentials({1, 0, 0}, {0, 0, 0}, {0, 0, 0}, 0.01),
                ebem::InvalidArgument);
 }
 
 TEST(SegmentPotentials, UnregularizedOnAxisRejected) {
-  EXPECT_THROW(segment_potentials({0.5, 0, 0}, {0, 0, 0}, {1, 0, 0}, 0.0),
+  EXPECT_THROW((void)segment_potentials({0.5, 0, 0}, {0, 0, 0}, {1, 0, 0}, 0.0),
                ebem::InvalidArgument);
 }
 
