@@ -13,7 +13,11 @@
 //    undamaged majority of the grid across scenarios — the measured
 //    argument for batching campaigns by physics;
 //  * p5/p50/p95/p99 of GPR and the safety margins are byte-for-byte
-//    identical across widths: observations commit in scenario-index order.
+//    identical across widths: observations commit in scenario-index order;
+//  * safety_seconds is the wall time of the touch/step patches
+//    (campaign::kSafetySecondsCounter); with the cache on, their
+//    point-element influences replay by congruence — within each scenario
+//    on the soil sweep, across scenarios on the damage sweep.
 //
 // Usage: bench_campaign [scenarios] [cells] [--check]
 //   scenarios  soil-sweep ensemble size (default 256; the damage sweep runs
@@ -25,9 +29,11 @@
 //              report (resistance, GPR, touch/step margins — all four
 //              tracked quantiles) is bit-identical across widths 1/2/4,
 //              the soil sweep's report matches a cache-off engine's to
-//              <= 1e-12 relative (no block replayed across physics), peak
-//              in-flight stayed within the window, and the damage sweep
-//              has warm hits > 0.
+//              <= 1e-12 relative (no block or influence replayed across
+//              physics), the damage sweep's does too (blocks and
+//              influences replayed across scenarios), peak in-flight
+//              stayed within the window, and the damage sweep has warm
+//              hits > 0. The cache-off sweeps are extra runs, not printed.
 //
 // The JSON lines feed CI's bench-regression gate (bench/compare_bench.py vs
 // bench/baselines/); see bench/baselines/README.md for re-baselining.
@@ -36,6 +42,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "src/bem/analysis.hpp"
@@ -99,7 +106,7 @@ void emit(const char* sweep, std::size_t scenarios, std::size_t cells, std::size
   std::printf(
       "{\"bench\":\"campaign\",\"sweep\":\"%s\",\"scenarios\":%zu,\"cells\":%zu,"
       "\"width\":%zu,\"completed\":%zu,\"seconds\":%.6f,\"scenarios_per_second\":%.3f,"
-      "\"hit_rate\":%.4f,"
+      "\"hit_rate\":%.4f,\"safety_seconds\":%.6f,"
       "\"p5_gpr\":%.6f,\"p50_gpr\":%.6f,\"p95_gpr\":%.6f,\"p99_gpr\":%.6f,"
       "\"p5_touch_margin\":%.6f,\"p50_touch_margin\":%.6f,\"p95_touch_margin\":%.6f,"
       "\"touch_violations\":%zu,\"peak_in_flight\":%zu,\"window\":%zu,"
@@ -107,7 +114,8 @@ void emit(const char* sweep, std::size_t scenarios, std::size_t cells, std::size
       sweep, scenarios, cells, width, result.completed, result.wall_seconds,
       result.wall_seconds > 0.0 ? static_cast<double>(result.completed) / result.wall_seconds
                                 : 0.0,
-      result.cache.hit_rate(), result.gpr.p5(), result.gpr.p50(), result.gpr.p95(),
+      result.cache.hit_rate(), result.phases.counter(campaign::kSafetySecondsCounter),
+      result.gpr.p5(), result.gpr.p50(), result.gpr.p95(),
       result.gpr.p99(), result.touch_margin.p5(), result.touch_margin.p50(),
       result.touch_margin.p95(), result.touch_violations, result.peak_in_flight,
       2 * width, par::hardware_threads(), peak_rss_bytes() / 1024);
@@ -202,15 +210,21 @@ int main(int argc, char** argv) {
       ok = false;
     }
   }
-  // Every scenario changes the physics: a block replayed across soils would
-  // move the percentiles far beyond round-off.
-  const double deviation =
+  // Every soil scenario changes the physics: a block or influence replayed
+  // across soils would move the percentiles far beyond round-off. The damage
+  // sweep replays both across its scenarios, to round-off.
+  const double soil_deviation =
       max_percentile_deviation(soil_results[0], run_sweep(soil_sweep, cells, 1, /*cache=*/false));
-  if (!(deviation <= 1e-12)) {
-    std::fprintf(stderr,
-                 "bench_campaign: soil sweep deviates from the cache-off engine by %.3e\n",
-                 deviation);
-    ok = false;
+  const double damage_deviation =
+      max_percentile_deviation(damage, run_sweep(damage_sweep, cells, 2, /*cache=*/false));
+  for (const auto& [sweep, deviation] :
+       {std::pair{"soil", soil_deviation}, std::pair{"damage", damage_deviation}}) {
+    if (!(deviation <= 1e-12)) {
+      std::fprintf(stderr,
+                   "bench_campaign: %s sweep deviates from the cache-off engine by %.3e\n",
+                   sweep, deviation);
+      ok = false;
+    }
   }
   if (damage.cache.hits == 0) {
     std::fprintf(stderr, "bench_campaign: damage sweep produced no warm-cache hits\n");

@@ -9,8 +9,11 @@
 // shards by their high hash bits, so concurrent workers contend only when
 // they touch the same shard at the same instant; after warm-up nearly every
 // access is a brief locked find. Two workers racing on the same cold key may
-// both integrate it — both results are identical, the second insert is
-// dropped, and correctness is unaffected.
+// both integrate it; the second insert is dropped. A pair block is integrated
+// from the pair in hand, and congruent pairs differ bitwise (up to ~2e-14
+// relative), so which block is stored depends on which worker came first.
+// Point influences are integrated from the geometry decoded from the key, so
+// racing workers store the same bits.
 //
 // Congruent geometry alone does not pin the block: the soil stack and the
 // integrator/series/Hankel options do too. So a cache is built for one

@@ -311,6 +311,19 @@ std::array<double, 2> Integrator::potential_influence(geom::Vec3 x,
   return inner_integrals(x, source, field_layer);
 }
 
+std::array<double, 2> Integrator::potential_influence(geom::Vec3 x, std::size_t field_layer,
+                                                      const BemElement& source,
+                                                      CongruenceCache& cache) const {
+  const PairSignature signature = make_point_signature(x, field_layer, source, cache.quantum());
+  LocalMatrix block;  // the influence lives in row 0
+  if (!cache.lookup(signature, block)) {
+    const PointSourceGeometry canonical = decode_point_signature(signature, cache.quantum());
+    block.value[0] = inner_integrals(canonical.point, canonical.source, canonical.field_layer);
+    cache.insert(signature, block);
+  }
+  return block.value[0];
+}
+
 void Integrator::potential_influences(const BemElement& source, std::size_t field_layer,
                                       const double* xs, const double* ys, const double* zs,
                                       std::size_t count, double* out0, double* out1) const {

@@ -137,6 +137,14 @@ class Integrator {
   [[nodiscard]] std::array<double, 2> potential_influence(geom::Vec3 x,
                                                           const BemElement& source) const;
 
+  /// Cache-aware variant for a point of soil layer `field_layer`, keyed by
+  /// make_point_signature. A miss integrates the geometry decoded from the
+  /// key, not the pair in hand, so hit or miss the result is a function of
+  /// the key alone (and equals the plain influence to the key's quantum).
+  [[nodiscard]] std::array<double, 2> potential_influence(geom::Vec3 x, std::size_t field_layer,
+                                                          const BemElement& source,
+                                                          CongruenceCache& cache) const;
+
   /// Batched potential influence: source element alpha's local-DoF
   /// coefficients at `count` field points (structure of arrays), all of
   /// which must lie in soil layer `field_layer`. out0[k] / out1[k] equal

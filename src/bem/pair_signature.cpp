@@ -87,6 +87,28 @@ PairSignature make_pair_signature(const BemElement& field, const BemElement& sou
   return signature;
 }
 
+PairSignature make_point_signature(geom::Vec3 x, std::size_t field_layer,
+                                   const BemElement& source, double quantum) {
+  const BemElement point{x, x, 0.0, 0.0, 0, 0, field_layer};
+  return make_pair_signature(point, source, quantum);
+}
+
+PointSourceGeometry decode_point_signature(const PairSignature& signature, double quantum) {
+  // u is zero: v and w are the source direction and the point-to-source offset.
+  const auto& q = signature.q;
+  const auto at = [&](std::size_t i) { return static_cast<double>(q[i]) * quantum; };
+  PointSourceGeometry geometry;
+  geometry.point = {0.0, 0.0, at(6)};
+  geometry.field_layer = static_cast<std::size_t>(q[12] >> 32);
+  BemElement& source = geometry.source;
+  source.a = {at(4), at(5), at(8)};
+  source.b = {source.a.x + at(2), source.a.y + at(3), at(9)};
+  source.radius = at(11);
+  source.length = geom::norm(source.b - source.a);
+  source.layer = static_cast<std::size_t>(q[12] & 0xffffffff);
+  return geometry;
+}
+
 CanonicalPairSignature make_canonical_pair_signature(const BemElement& field,
                                                      const BemElement& source, double quantum) {
   CanonicalPairSignature canonical;

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "src/bem/element.hpp"
@@ -59,6 +60,24 @@ struct PairSignatureHash {
 [[nodiscard]] PairSignature make_pair_signature(const BemElement& field,
                                                 const BemElement& source,
                                                 double quantum = kDefaultCongruenceQuantum);
+
+/// Signature of the influence of `source` at point `x` of soil layer
+/// `field_layer`: the pair signature with the point as a zero-length,
+/// zero-radius field element (never equal to an element pair's).
+[[nodiscard]] PairSignature make_point_signature(geom::Vec3 x, std::size_t field_layer,
+                                                 const BemElement& source,
+                                                 double quantum = kDefaultCongruenceQuantum);
+
+/// The canonical geometry a point signature encodes, rebuilt from its
+/// lattice coordinates: the point on the z axis, the source in the frame.
+struct PointSourceGeometry {
+  geom::Vec3 point;
+  std::size_t field_layer = 0;
+  BemElement source;
+};
+
+[[nodiscard]] PointSourceGeometry decode_point_signature(const PairSignature& signature,
+                                                         double quantum);
 
 /// Galerkin reciprocity: with identical test and trial families the block of
 /// the swapped ordered pair is the transpose, R^{alpha beta} = (R^{beta

@@ -5,11 +5,14 @@
 #include <cmath>
 #include <deque>
 #include <map>
+#include <memory>
 #include <optional>
 #include <utility>
 
+#include "src/bem/congruence_cache.hpp"
 #include "src/bem/element.hpp"
 #include "src/common/error.hpp"
+#include "src/common/timer.hpp"
 #include "src/post/surface_potential.hpp"
 
 namespace ebem::campaign {
@@ -103,6 +106,10 @@ CampaignResult Runner::run(const ScenarioSource& source) {
   potential.integrator = assembly.integrator;
   potential.series = assembly.series;
   potential.hankel = assembly.hankel;
+  // Under the engine's cache switch, patch influences replay from a capped cache
+  // of the current scenario's physics (on irregular grids most pairs are classes).
+  const bool replay_influences = study_->engine().config().use_congruence_cache;
+  std::unique_ptr<bem::CongruenceCache> influence_cache;
 
   const auto harvest_ready = [&](bool block_on_front) {
     if (block_on_front && !window.empty()) window.front().future.wait();
@@ -129,6 +136,8 @@ CampaignResult Runner::run(const ScenarioSource& source) {
     out.gpr.add(scenario_gpr);
 
     if (options_.safety.has_value()) {
+      const WallTimer wall;
+      const CpuTimer cpu;
       const SafetyPatch& patch = *options_.safety;
       std::vector<double> sigma = h.result.sigma;
       if (options_.fault_current > 0.0) {
@@ -137,8 +146,13 @@ CampaignResult Runner::run(const ScenarioSource& source) {
         const double factor = scenario_gpr / study_->options().gpr;
         for (double& s : sigma) s *= factor;
       }
+      if (replay_influences &&
+          (influence_cache == nullptr || !influence_cache->serves(h.model->soil(), assembly))) {
+        influence_cache = std::make_unique<bem::CongruenceCache>(
+            h.model->soil(), assembly, bem::kDefaultCongruenceQuantum, std::size_t{1} << 16);
+      }
       const post::PotentialEvaluator evaluator(*h.model, std::move(sigma), potential,
-                                               study_->engine().pool());
+                                               study_->engine().pool(), influence_cache.get());
       post::SafetyCriteria criteria = patch.criteria;
       criteria.soil_resistivity = source.surface_soil_resistivity(index);
       const post::SafetyAssessment assessment =
@@ -148,6 +162,9 @@ CampaignResult Runner::run(const ScenarioSource& source) {
       out.step_margin.add(assessment.tolerable_step - assessment.max_step_voltage);
       if (!assessment.touch_safe()) ++out.touch_violations;
       if (!assessment.step_safe()) ++out.step_violations;
+      const double safety_seconds = wall.seconds();
+      out.phases.add(Phase::kResultsStorage, safety_seconds, cpu.seconds());
+      out.phases.add_counter(kSafetySecondsCounter, safety_seconds);
     }
 
     out.cache.hits += h.cache_delta.hits;

@@ -24,15 +24,19 @@
 // on the model copy kept at submit, by a post::PotentialEvaluator that
 // borrows the engine's pool. The patch therefore runs pool-wide between
 // the pipelined runs' parallel regions instead of serially on the caller's
-// thread, and its values do not depend on the pool's width.
+// thread, and its values do not depend on the pool's width. Under
+// ExecutionConfig::use_congruence_cache the evaluator replays influences
+// from a congruence cache the runner owns per run() (post/surface_potential.hpp);
+// values stay width-independent and within 1e-12 of the cache-off ones.
 //
 // Batching note: a congruence cache serves one physics, so every soil
 // scenario starts from a fresh, empty cache — soil sweeps replay only the
-// congruent pairs within each grid, never across scenarios. Damage sweeps
-// keep the physics fixed and replay the cache across scenarios; a mixed
-// batch should therefore be grouped by physics (alternating soils A, B, A,
-// B gets no cross-scenario reuse; all of one soil first does) — which the
-// one-ensemble-per-run() API enforces naturally.
+// congruent pairs and patch influences within each grid, never across
+// scenarios. Damage sweeps keep the physics fixed and replay both caches
+// across scenarios; a mixed batch should therefore be grouped by physics
+// (alternating soils A, B, A, B gets no cross-scenario reuse; all of one
+// soil first does) — which the one-ensemble-per-run() API enforces
+// naturally.
 #pragma once
 
 #include <cstddef>
@@ -47,6 +51,9 @@
 #include "src/post/safety.hpp"
 
 namespace ebem::campaign {
+
+/// Wall seconds of the committed scenarios' safety steps (CampaignResult::phases).
+inline constexpr const char* kSafetySecondsCounter = "Safety step seconds";
 
 /// One scenario batch: anything that can produce its i-th model on demand.
 /// Implementations must be pure (same index, same model). The runner asks
@@ -165,7 +172,9 @@ struct CampaignResult {
   /// Congruence-cache rollup: the sum of committed runs' exact deltas.
   bem::CongruenceCacheStats cache;
   /// Phase timings + counters merged from committed runs' PhaseReports
-  /// (includes the congruence-cache hit/miss counters).
+  /// (includes the congruence-cache hit/miss counters). Each safety step
+  /// adds its wall and CPU time under Phase::kResultsStorage, and its wall
+  /// time to kSafetySecondsCounter (0 without a patch).
   PhaseReport phases;
 
   std::size_t peak_in_flight = 0;  ///< observed maximum; <= options.window

@@ -58,7 +58,9 @@ struct ExecutionConfig {
   /// elemental blocks. A cache serves one physics (soil + assembly
   /// options); a run with other physics gets a fresh, empty cache.
   /// The cache quantizes signatures by bem::kDefaultCongruenceQuantum and
-  /// holds at most bem::CongruenceCache::kDefaultMaxEntries blocks.
+  /// holds at most bem::CongruenceCache::kDefaultMaxEntries blocks. The
+  /// same switch lets campaign::Runner replay its safety patch's
+  /// point-element influences by congruence (2^16 entries per cache).
   bool use_congruence_cache = true;
 
   // --- solver ------------------------------------------------------------

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "src/bem/congruence_cache.hpp"
 #include "src/common/error.hpp"
 #include "src/parallel/parallel_for.hpp"
 #include "src/soil/kernel_factory.hpp"
@@ -27,15 +28,20 @@ constexpr std::size_t kChunksPerThread = 2;
 }  // namespace
 
 PotentialEvaluator::PotentialEvaluator(const bem::BemModel& model, std::vector<double> sigma,
-                                       const PotentialOptions& options, par::ThreadPool* pool)
+                                       const PotentialOptions& options, par::ThreadPool* pool,
+                                       bem::CongruenceCache* cache)
     : model_(model),
       sigma_(std::move(sigma)),
       options_(options),
       kernel_(soil::make_kernel(model.soil(), options.series, options.hankel)),
       integrator_(*kernel_, evaluator_integrator_options(model, options)),
-      pool_(pool) {
+      pool_(pool),
+      cache_(cache) {
   EBEM_EXPECT(sigma_.size() == model.dof_count(options.integrator.basis),
               "sigma size does not match the model's DoF count");
+  EBEM_EXPECT(cache == nullptr ||
+                  cache->serves(model.soil(), {options.integrator, options.series, options.hankel}),
+              "congruence cache was built for other physics than this evaluator's");
   if (pool_ == nullptr) {
     owned_pool_ = std::make_unique<par::ThreadPool>(std::max<std::size_t>(options.num_threads, 1));
     pool_ = owned_pool_.get();
@@ -105,8 +111,18 @@ std::vector<double> PotentialEvaluator::at(const std::vector<geom::Vec3>& points
     // Elements outer, local DoFs next, points inner: each point's sum sees
     // the terms in exactly the order at(x) adds them.
     for (std::size_t e = 0; e < model_.element_count(); ++e) {
-      integrator_.potential_influences(model_.elements()[e], chunk_layer, xs, ys, zs, m,
-                                       influence0, influence1);
+      const bem::BemElement& element = model_.elements()[e];
+      if (cache_ == nullptr) {
+        integrator_.potential_influences(element, chunk_layer, xs, ys, zs, m, influence0,
+                                         influence1);
+      } else {
+        for (std::size_t k = 0; k < m; ++k) {
+          const auto influence =
+              integrator_.potential_influence({xs[k], ys[k], zs[k]}, chunk_layer, element, *cache_);
+          influence0[k] = influence[0];
+          influence1[k] = influence[1];
+        }
+      }
       for (std::size_t q = 0; q < locals; ++q) {
         const double* influence = q == 0 ? influence0 : influence1;
         const double s = sigma_[model_.global_dof(basis, e, q)];

@@ -5,12 +5,17 @@
 // touch/step safety patches needs this at hundreds to thousands of points;
 // the paper names it the second massively parallelizable stage. The batched
 // at(points) splits the points into chunks that each lie in one soil layer
-// and runs the chunks in parallel. Within a chunk, elements are the outer
-// loop: each source element's image sweep is built once and evaluated
-// against every point of the chunk in one SoA kernel call. Each point still
+// and runs the chunks in parallel, elements outer within a chunk. Each point
 // sums sigma_i V_i in element order, then local-DoF order — the order of the
-// pointwise at(x) — so batched values equal the pointwise ones bitwise at
-// any thread count and chunking; at(x) stays as the test oracle.
+// pointwise at(x), which stays as the oracle. The influences come from:
+//  * without a congruence cache, one image sweep per source element and
+//    chunk, evaluated against all its points in one SoA kernel call; values
+//    equal at(x) bitwise. The faster path on irregular geometry.
+//  * with a cache, Integrator::potential_influence(..., cache): one
+//    integration per congruence class (a regular grid's safety patch has
+//    ~28x fewer classes than pairs), from the geometry decoded from the key.
+//    Values are a function of the keys alone — bitwise identical at any
+//    thread count, chunking and cache content — and within 1e-12 of at(x).
 //
 // Pool ownership: an evaluator either borrows a pool (the engine's, so the
 // post step shares its session's workers — campaign::Runner and
@@ -42,15 +47,19 @@ class PotentialEvaluator {
  public:
   /// `pool`, when non-null, is borrowed (it must outlive the evaluator) and
   /// its thread count overrides options.num_threads; otherwise the
-  /// evaluator owns a pool of options.num_threads threads.
+  /// evaluator owns a pool of options.num_threads threads. A non-null
+  /// `cache` is borrowed for at(points); it must serve the model's soil
+  /// under the options' integrator, series and Hankel controls (or throws).
   PotentialEvaluator(const bem::BemModel& model, std::vector<double> sigma,
-                     const PotentialOptions& options = {}, par::ThreadPool* pool = nullptr);
+                     const PotentialOptions& options = {}, par::ThreadPool* pool = nullptr,
+                     bem::CongruenceCache* cache = nullptr);
 
   /// Potential at one point (x.z <= 0; use z = 0 for the earth surface).
   [[nodiscard]] double at(geom::Vec3 x) const;
 
   /// Potentials at many points: layer-pure point chunks in parallel,
-  /// elements outer within a chunk. Bitwise equal to at(x) per point.
+  /// elements outer within a chunk. Without a cache bitwise equal to at(x)
+  /// per point; with one, within 1e-12 of it and thread-independent.
   [[nodiscard]] std::vector<double> at(const std::vector<geom::Vec3>& points) const;
 
   /// Potentials on a regular surface grid (z = 0): rows sweep y, columns x.
@@ -79,6 +88,7 @@ class PotentialEvaluator {
   bem::Integrator integrator_;
   std::unique_ptr<par::ThreadPool> owned_pool_;  ///< null when the pool is borrowed
   par::ThreadPool* pool_;
+  bem::CongruenceCache* cache_;  ///< null: the batched, cache-less path
 };
 
 }  // namespace ebem::post

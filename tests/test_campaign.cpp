@@ -620,6 +620,40 @@ TEST(Runner, MeshesEachScenarioOnce) {
   EXPECT_EQ(counting.calls(), std::vector<std::size_t>(6, 1));
 }
 
+CampaignResult run_patched_damage_campaign(bool cache, bool patch) {
+  engine::ExecutionConfig config;
+  config.num_threads = 2;
+  config.use_congruence_cache = cache;
+  engine::Engine engine(config);
+  engine::Study study(engine);
+  CampaignOptions options;
+  options.window = 2;
+  options.fault_current = 100.0;
+  if (patch) options.safety = small_patch();
+  Runner runner(study, options);
+  return runner.run(small_damage_sweep(6));
+}
+
+TEST(Runner, SafetyStepIsTimedAsResultsStorage) {
+  const CampaignResult patched = run_patched_damage_campaign(/*cache=*/true, /*patch=*/true);
+  const double safety = patched.phases.counter(kSafetySecondsCounter);
+  EXPECT_GT(safety, 0.0);
+  // Results Storage holds the safety steps beside each run's own result
+  // extraction.
+  EXPECT_GE(patched.phases.wall_seconds(Phase::kResultsStorage), safety);
+  EXPECT_GT(patched.phases.cpu_seconds(Phase::kResultsStorage), 0.0);
+  const CampaignResult bare = run_patched_damage_campaign(/*cache=*/true, /*patch=*/false);
+  EXPECT_EQ(bare.phases.counter(kSafetySecondsCounter), 0.0);
+}
+
+TEST(Runner, DamageSweepReplaysPatchInfluencesToRoundOff) {
+  // The runner's influence cache lives across the damage scenarios; the
+  // margins it yields match the cache-off evaluation to round-off.
+  const CampaignResult on = run_patched_damage_campaign(/*cache=*/true, /*patch=*/true);
+  EXPECT_EQ(on.touch_margin.count(), 6u);
+  expect_percentiles_near(on, run_patched_damage_campaign(/*cache=*/false, /*patch=*/true));
+}
+
 TEST(Runner, EarlyStopTerminatesOnATightPercentile) {
   engine::ExecutionConfig config;
   config.num_threads = 1;

@@ -2,11 +2,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <set>
 #include <sstream>
 
 #include "src/common/error.hpp"
 #include "src/bem/analysis.hpp"
+#include "src/bem/congruence_cache.hpp"
+#include "src/bem/pair_signature.hpp"
 #include "src/cad/cases.hpp"
 #include "src/cad/grounding_system.hpp"
 #include "src/common/math_utils.hpp"
@@ -203,6 +208,164 @@ TEST(PotentialEvaluator, BatchMatchesPointwiseOnCampaignGrid) {
   const bem::BemModel model(geom::Mesh::build(geom::make_rect_grid(spec)),
                             soil::LayeredSoil::two_layer(0.005, 0.016, 1.0));
   expect_bitwise_at_every_width(model, patch_points(0.0, 50.0, 0.0, 50.0, {-1.5}));
+}
+
+// ---------------------------------------------------------------------------
+// Congruence-cached influences
+// ---------------------------------------------------------------------------
+
+/// The e2e campaign grid, shifted horizontally by `shift`.
+bem::BemModel campaign_grid_model(geom::Vec3 shift = {}) {
+  geom::RectGridSpec spec;
+  spec.length_x = 50.0;
+  spec.length_y = 50.0;
+  spec.cells_x = 10;
+  spec.cells_y = 10;
+  std::vector<geom::Conductor> conductors = geom::make_rect_grid(spec);
+  for (geom::Conductor& conductor : conductors) {
+    conductor.a = conductor.a + shift;
+    conductor.b = conductor.b + shift;
+  }
+  return {geom::Mesh::build(conductors), soil::LayeredSoil::two_layer(0.005, 0.016, 1.0)};
+}
+
+/// The points assess_safety evaluates on a 6 x 6 patch over the campaign
+/// grid: the samples and their +1 m step probes in x and y (108 points).
+std::vector<geom::Vec3> campaign_safety_points(geom::Vec3 shift = {}) {
+  std::vector<geom::Vec3> points;
+  for (std::size_t j = 0; j < 6; ++j) {
+    for (std::size_t i = 0; i < 6; ++i) {
+      const double x = shift.x + 10.0 * static_cast<double>(i);
+      const double y = shift.y + 10.0 * static_cast<double>(j);
+      points.push_back({x, y, 0.0});
+      points.push_back({x + 1.0, y, 0.0});
+      points.push_back({x, y + 1.0, 0.0});
+    }
+  }
+  return points;
+}
+
+/// Cache-on batched values against the cache-less pointwise oracle.
+void expect_cached_near_pointwise(const bem::BemModel& model,
+                                  const std::vector<geom::Vec3>& points,
+                                  const PotentialOptions& options = {}) {
+  const std::vector<double> sigma =
+      synthetic_sigma(model.dof_count(options.integrator.basis));
+  bem::CongruenceCache cache(model.soil(),
+                             {options.integrator, options.series, options.hankel});
+  const PotentialEvaluator cached(model, sigma, options, nullptr, &cache);
+  const std::vector<double> values = cached.at(points);
+  ASSERT_EQ(values.size(), points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const double oracle = cached.at(points[i]);
+    EXPECT_LE(std::abs(values[i] - oracle), 1e-12 * std::abs(oracle)) << "point " << i;
+  }
+  EXPECT_GT(cache.entries(), 0u);
+}
+
+TEST(PotentialEvaluator, CachedMatchesPointwiseOnCampaignPatch) {
+  PotentialOptions options;
+  options.num_threads = 4;
+  expect_cached_near_pointwise(campaign_grid_model(), campaign_safety_points(), options);
+}
+
+TEST(PotentialEvaluator, CachedMatchesPointwiseOnBarberaTwoLayer) {
+  const cad::BarberaCase barbera = cad::barbera_case();
+  const cad::GroundingSystem system(barbera.conductors, barbera.two_layer_soil);
+  expect_cached_near_pointwise(system.model(),
+                               patch_points(-5.0, 94.0, -5.0, 148.0, {-0.5, -2.0}));
+}
+
+TEST(PotentialEvaluator, CachedMatchesPointwiseOnBalaidosC) {
+  // Vertical rods (the key's frame falls back to the offset) and points in
+  // both layers.
+  const cad::BalaidosCase balaidos = cad::balaidos_case();
+  const cad::GroundingSystem system(balaidos.conductors, balaidos.soil_c);
+  expect_cached_near_pointwise(system.model(),
+                               patch_points(-5.0, 85.0, -5.0, 65.0, {-0.6, -1.8}));
+}
+
+TEST(PotentialEvaluator, CachedMatchesPointwiseOnThreeLayerSoil) {
+  // Spectral kernel with subtracted quadrature; one thread (the Hankel
+  // kernel's Bessel calls are not thread-clean under TSan).
+  const soil::LayeredSoil three(
+      {soil::Layer{0.01, 1.0}, soil::Layer{0.004, 1.0}, soil::Layer{0.04, 0.0}});
+  const std::vector<geom::Conductor> wire{{{0, 0, -0.8}, {10, 0, -0.8}, 0.006}};
+  geom::MeshOptions mesh_options;
+  mesh_options.target_element_length = 2.5;
+  const bem::BemModel model(geom::Mesh::build(wire, mesh_options), three);
+  std::vector<geom::Vec3> points;
+  for (const double x : {1.25, 3.75, 6.25, 8.75}) {
+    points.push_back({x, 1.0, 0.0});
+    points.push_back({x, -1.0, 0.0});
+  }
+  points.push_back({5.0, 0.5, -1.5});
+  expect_cached_near_pointwise(model, points);
+}
+
+TEST(PotentialEvaluator, CachedValuesDependOnTheKeysAlone) {
+  // Bitwise equal at 1, 2 and 4 threads, on a borrowed pool, and from a
+  // cache another sigma (and point order) filled: an influence is
+  // integrated from the geometry its key encodes, whoever misses first.
+  // The shift makes the grid's coordinates inexact, so congruent pairs in
+  // hand integrate to different bits.
+  const geom::Vec3 shift{0.1, 0.3, 0.0};
+  const bem::BemModel model = campaign_grid_model(shift);
+  const std::vector<geom::Vec3> points = campaign_safety_points(shift);
+  const std::vector<double> sigma = synthetic_sigma(model.dof_count(bem::BasisKind::kLinear));
+  std::vector<double> reference;
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    bem::CongruenceCache cache(model.soil());
+    PotentialOptions options;
+    options.num_threads = threads;
+    const std::vector<double> values =
+        PotentialEvaluator(model, sigma, options, nullptr, &cache).at(points);
+    if (reference.empty()) reference = values;
+    EXPECT_EQ(values, reference) << threads << " threads";
+  }
+  bem::CongruenceCache prefilled(model.soil());
+  const std::vector<double> other_sigma(sigma.size(), 1.0);
+  (void)PotentialEvaluator(model, other_sigma, {}, nullptr, &prefilled)
+      .at(std::vector<geom::Vec3>(points.rbegin(), points.rend()));
+  par::ThreadPool pool(3);
+  EXPECT_EQ(PotentialEvaluator(model, sigma, {}, &pool, &prefilled).at(points), reference);
+}
+
+TEST(PotentialEvaluator, CacheIntegratesEachClassOnce) {
+  // One thread, under the cap: every miss inserts, so the entries count the
+  // misses. The undamaged campaign grid's patch holds 23,760 influences in
+  // 860 classes; a second evaluation replays all of them.
+  const bem::BemModel model = campaign_grid_model();
+  const std::vector<geom::Vec3> points = campaign_safety_points();
+  std::set<std::array<std::int64_t, 13>> keys;
+  for (const geom::Vec3& point : points) {
+    for (const bem::BemElement& element : model.elements()) {
+      keys.insert(bem::make_point_signature(point, model.soil().layer_of(point.z), element).q);
+    }
+  }
+  EXPECT_EQ(keys.size(), 860u);
+  bem::CongruenceCache cache(model.soil());
+  const PotentialEvaluator evaluator(model, synthetic_sigma(model.node_count()), {}, nullptr,
+                                     &cache);
+  const std::vector<double> first = evaluator.at(points);
+  EXPECT_EQ(cache.entries(), keys.size());
+  EXPECT_EQ(evaluator.at(points), first);
+  EXPECT_EQ(cache.entries(), keys.size());
+}
+
+TEST(PotentialEvaluator, CacheOfOtherPhysicsThrows) {
+  const bem::BemModel model = campaign_grid_model();
+  const std::vector<double> sigma = synthetic_sigma(model.node_count());
+  bem::CongruenceCache other_soil(soil::LayeredSoil::two_layer(0.005, 0.02, 1.0));
+  EXPECT_THROW(PotentialEvaluator(model, sigma, {}, nullptr, &other_soil),
+               ebem::InvalidArgument);
+  bem::AssemblyOptions looser;
+  looser.series.tolerance *= 10.0;
+  bem::CongruenceCache other_series(model.soil(), looser);
+  EXPECT_THROW(PotentialEvaluator(model, sigma, {}, nullptr, &other_series),
+               ebem::InvalidArgument);
+  bem::CongruenceCache same(model.soil());
+  EXPECT_NO_THROW(PotentialEvaluator(model, sigma, {}, nullptr, &same));
 }
 
 TEST(PotentialEvaluator, SurfaceGridLayoutAndSymmetry) {
