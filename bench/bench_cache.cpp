@@ -8,7 +8,9 @@
 // One JSON line per (grid, threads) for artifact archiving and diffing.
 // Each line also carries the warm re-assembly time: a second pass through
 // the cache the first pass filled (every pair a hit), as a median of
-// repeats, and its speed-up over the 1-thread line of the same grid.
+// repeats, and its speed-up over the 1-thread line of the same grid; and
+// seconds_keys, the serial time to build the element frames and key every
+// pair (median of 21), the share of a warm assembly spent naming blocks.
 //
 // Usage: bench_cache [cells] [max_threads] [--check] [--warm]
 //   cells        grid cells per side (default 12 -> 312 elements)
@@ -29,6 +31,7 @@
 // runner's. See bench/baselines/README.md for re-baselining.
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -194,6 +197,18 @@ int main(int argc, char** argv) {
   for (const GridCase& grid : cases) {
     const std::size_t m = grid.model.element_count();
     double seconds_warm_1 = 0.0;
+    volatile std::uint64_t key_sink = 0;  // keeps the keying from being optimized away
+    const double seconds_keys = median_of(21, [&] {
+      const std::vector<bem::ElementFrame> frames =
+          bem::make_element_frames(grid.model.elements(), bem::kDefaultCongruenceQuantum);
+      std::uint64_t hashes = 0;
+      for (std::size_t beta = 0; beta < m; ++beta) {
+        for (std::size_t alpha = beta; alpha < m; ++alpha) {
+          hashes ^= bem::make_canonical_pair_signature(frames[beta], frames[alpha]).signature.hash;
+        }
+      }
+      key_sink = hashes;
+    });
     for (std::size_t threads = 1; threads <= max_threads; threads *= 2) {
       par::ThreadPool pool(threads);
       bem::AssemblyExecution execution;
@@ -232,12 +247,14 @@ int main(int argc, char** argv) {
           "\"threads\":%zu,\"hits\":%zu,\"misses\":%zu,\"entries\":%zu,"
           "\"hit_rate\":%.4f,\"seconds_off\":%.6f,\"seconds_on\":%.6f,"
           "\"speedup\":%.3f,\"seconds_warm\":%.6f,\"warm_speedup_vs_1\":%.3f,"
+          "\"seconds_keys\":%.6f,"
           "\"max_rel_diff\":%.3e,\"parity_ok\":%s,"
           "\"matrix_bytes_resident\":%zu,\"hw_concurrency\":%zu,\"pool_threads\":%zu,"
           "\"peak_rss_kb\":%zu}\n",
           grid.name, m, on.element_pairs, threads, on.cache_stats.hits, on.cache_stats.misses,
           on.cache_stats.entries, on.cache_stats.hit_rate(), seconds_off, seconds_on,
-          seconds_off / seconds_on, seconds_warm, seconds_warm_1 / seconds_warm, diff,
+          seconds_off / seconds_on, seconds_warm, seconds_warm_1 / seconds_warm, seconds_keys,
+          diff,
           ok ? "true" : "false",
           on.matrix.tile_stats().resident_bytes, par::hardware_threads(), threads,
           peak_rss_bytes() / 1024);

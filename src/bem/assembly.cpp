@@ -218,6 +218,10 @@ AssemblyResult assemble(const BemModel& model, const AssemblyOptions& options,
   constexpr std::size_t kMaxTileLocks = 256;
   std::vector<TileLock> locks(workers > 1 ? std::min(layout.tile_count(), kMaxTileLocks) : 0);
   std::vector<SegmentBuffer> buffers(workers, SegmentBuffer(locals, n));
+  // Congruence keys come from per-element frames, built once per assembly.
+  const std::vector<ElementFrame> frames =
+      execution.cache == nullptr ? std::vector<ElementFrame>{}
+                                 : make_element_frames(elements, execution.cache->quantum());
   std::array<std::atomic<std::size_t>, 3> totals{};  // hits, misses, skipped pairs
   const auto run_segment = [&](std::size_t worker, std::size_t beta, std::size_t alpha_begin,
                                std::size_t alpha_end) {
@@ -228,10 +232,16 @@ AssemblyResult assemble(const BemModel& model, const AssemblyOptions& options,
         ++tally[2];
         continue;
       }
-      bool hit = false;
-      const LocalMatrix local =
-          integrator.element_pair(elements[beta], elements[alpha], execution.cache, &hit);
-      ++tally[hit ? 0 : 1];
+      LocalMatrix local;
+      if (execution.cache == nullptr) {
+        local = integrator.element_pair(elements[beta], elements[alpha]);
+      } else {
+        bool hit = false;
+        local = integrator.element_pair(
+            elements[beta], elements[alpha],
+            make_canonical_pair_signature(frames[beta], frames[alpha]), *execution.cache, &hit);
+        ++tally[hit ? 0 : 1];
+      }
       scatter(model, basis, beta, alpha, local, buffer);
     }
     std::unique_lock<std::mutex> held;

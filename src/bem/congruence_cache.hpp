@@ -8,7 +8,10 @@
 // sharded hash map. Signatures are distributed over 64 independently locked
 // shards by their high hash bits, so concurrent workers contend only when
 // they touch the same shard at the same instant; after warm-up nearly every
-// access is a brief locked find. Two workers racing on the same cold key may
+// access is a brief locked find. Callers key from per-element frames (see
+// pair_signature.hpp) and hash each key once; with keys that cheap, the
+// shard mutexes are what limits warm scaling (1.3-2.1x at 4 threads on the
+// campaign grid). Two workers racing on the same cold key may
 // both integrate it; the second insert is dropped. A pair block is integrated
 // from the pair in hand, and congruent pairs differ bitwise (up to ~2e-14
 // relative), so which block is stored depends on which worker came first.
@@ -96,7 +99,10 @@ class CongruenceCache {
   };
 
   /// High hash bits pick the shard; the map's bucket index uses the low
-  /// bits, so shard choice and bucket spread stay independent.
+  /// bits, so shard choice and bucket spread stay independent. The key hash
+  /// (pair_signature.cpp) ends in a splitmix64 finalizer so that both ends
+  /// are well mixed; PairSignature.KeyHashSpreadsOverShards holds the
+  /// fullest shard within 1.3x the mean over Barbera's 13,954 classes.
   [[nodiscard]] const Shard& shard_of(const PairSignature& signature) const {
     return shards_[signature.hash >> 58];
   }

@@ -6,6 +6,7 @@
 #include <limits>
 #include <utility>
 
+#include "src/bem/congruence_cache.hpp"
 #include "src/bem/pair_signature.hpp"
 #include "src/common/error.hpp"
 #include "src/la/aca.hpp"
@@ -207,7 +208,7 @@ Attempt run_aca(const FarBlock& fb, const BemModel& model,
                 const std::vector<std::vector<Incidence>>& incidence,
                 const std::vector<TileRowCluster>& clusters, const Integrator& integrator,
                 const la::TileLayout& layout, const la::CompressionConfig& compression,
-                CongruenceCache* cache) {
+                CongruenceCache* cache, std::span<const ElementFrame> frames) {
   const auto& elements = model.elements();
   const std::size_t r0 = layout.row_begin(fb.row_tile_begin);
   const std::size_t r1 = layout.row_end(fb.row_tile_end - 1);
@@ -234,17 +235,34 @@ Attempt run_aca(const FarBlock& fb, const BemModel& model,
   }
   std::vector<LocalMatrix> row_blocks(row_elems.size());
   std::vector<LocalMatrix> col_blocks(col_elems.size());
+  std::vector<CanonicalPairSignature> keys;
 
   Attempt attempt;
+
+  // Blocks of one source element against a cluster's field elements, keyed
+  // from the frames when a cache is given.
+  const auto sample_blocks = [&](std::size_t source, const std::vector<std::size_t>& field_ids,
+                                 const std::vector<const BemElement*>& fields,
+                                 LocalMatrix* out) {
+    if (cache == nullptr) {
+      integrator.element_pair_batch(elements[source], fields, out);
+    } else {
+      keys.resize(field_ids.size());
+      for (std::size_t k = 0; k < field_ids.size(); ++k) {
+        keys[k] = make_canonical_pair_signature(frames[field_ids[k]], frames[source]);
+      }
+      integrator.element_pair_batch(elements[source], fields, keys, out, *cache,
+                                    &attempt.pairs_replayed);
+    }
+    attempt.pairs_sampled += fields.size();
+  };
 
   // Column sample A(:, c): every source element f supporting DoF c, batched
   // against the row-side field elements; out[k] accumulates over f.
   const auto sample_col = [&](std::size_t col, double* out) {
     std::fill(out, out + (r1 - r0), 0.0);
     for (const Incidence& src : incidence[c0 + col]) {
-      integrator.element_pair_batch(elements[src.element], row_fields, row_blocks.data(), cache,
-                                    &attempt.pairs_replayed);
-      attempt.pairs_sampled += row_fields.size();
+      sample_blocks(src.element, row_elems, row_fields, row_blocks.data());
       for (std::size_t r = r0; r < r1; ++r) {
         double entry = 0.0;
         for (const Incidence& fld : incidence[r]) {
@@ -259,9 +277,7 @@ Attempt run_aca(const FarBlock& fb, const BemModel& model,
   const auto sample_row = [&](std::size_t row, double* out) {
     std::fill(out, out + (c1 - c0), 0.0);
     for (const Incidence& src : incidence[r0 + row]) {
-      integrator.element_pair_batch(elements[src.element], col_fields, col_blocks.data(), cache,
-                                    &attempt.pairs_replayed);
-      attempt.pairs_sampled += col_fields.size();
+      sample_blocks(src.element, col_elems, col_fields, col_blocks.data());
       for (std::size_t c = c0; c < c1; ++c) {
         double entry = 0.0;
         for (const Incidence& fld : incidence[c]) {
@@ -358,6 +374,9 @@ void build_far_field(la::CompressedTileStore& store, const BemModel& model, Basi
               "partition does not match the store's tile layout");
 
   const std::vector<std::vector<Incidence>> incidence = build_incidence(model, basis, ordering);
+  const std::vector<ElementFrame> frames =
+      cache == nullptr ? std::vector<ElementFrame>{}
+                       : make_element_frames(model.elements(), cache->quantum());
 
   // Wave loop: try every candidate (in parallel — each attempt touches only
   // its own buffers and results slot), install the accepted factors serially
@@ -371,7 +390,7 @@ void build_far_field(la::CompressedTileStore& store, const BemModel& model, Basi
     std::vector<Attempt> attempts(wave.size());
     const auto run = [&](std::size_t k) {
       attempts[k] = run_aca(wave[k], model, incidence, partition.clusters, integrator, layout,
-                            compression, cache);
+                            compression, cache, frames);
     };
     if (pool != nullptr && pool->num_threads() > 1 && wave.size() > 1) {
       par::parallel_for(*pool, wave.size(), par::Schedule::dynamic(1), run);

@@ -255,21 +255,14 @@ LocalMatrix Integrator::element_pair_analytic(const BemElement& field,
 }
 
 LocalMatrix Integrator::element_pair(const BemElement& field, const BemElement& source,
-                                     CongruenceCache* cache, bool* was_hit) const {
-  if (was_hit != nullptr) *was_hit = false;
-  if (cache == nullptr) return element_pair(field, source);
-  // Role-canonical key: well-separated pairs share one entry with their
-  // swapped-role congruent copies (replayed transposed); near pairs keep the
-  // ordered key, where the transpose identity is only quadrature-accurate.
-  const CanonicalPairSignature signature =
-      make_canonical_pair_signature(field, source, cache->quantum());
+                                     const CanonicalPairSignature& key, CongruenceCache& cache,
+                                     bool* was_hit) const {
   LocalMatrix block;
-  if (cache->lookup(signature, block)) {
-    if (was_hit != nullptr) *was_hit = true;
-    return block;
-  }
+  const bool hit = cache.lookup(key, block);
+  if (was_hit != nullptr) *was_hit = hit;
+  if (hit) return block;
   block = element_pair(field, source);
-  cache->insert(signature, block);
+  cache.insert(key, block);
   return block;
 }
 
@@ -286,20 +279,19 @@ void Integrator::element_pair_batch(const BemElement& source,
 }
 
 void Integrator::element_pair_batch(const BemElement& source,
-                                    std::span<const BemElement* const> fields, LocalMatrix* out,
-                                    CongruenceCache* cache, std::size_t* replayed) const {
-  if (cache == nullptr) {
-    element_pair_batch(source, fields, out);
-    return;
-  }
-  // Same replay discipline as the cached element_pair: canonical signature
+                                    std::span<const BemElement* const> fields,
+                                    std::span<const CanonicalPairSignature> keys,
+                                    LocalMatrix* out, CongruenceCache& cache,
+                                    std::size_t* replayed) const {
+  EBEM_EXPECT(keys.size() == fields.size(), "one congruence key per field element");
+  // Same replay discipline as the cached element_pair: look the key up
   // first, integrate only the misses. The shared per-source workspace still
   // amortizes across the misses of one batch, so a cold batch costs what the
-  // uncached entry does and a warm one costs only the signature lookups.
+  // uncached entry does and a warm one costs only the lookups.
   std::size_t hits = 0;
   for (std::size_t k = 0; k < fields.size(); ++k) {
     bool was_hit = false;
-    out[k] = element_pair(*fields[k], source, cache, &was_hit);
+    out[k] = element_pair(*fields[k], source, keys[k], cache, &was_hit);
     hits += was_hit ? 1 : 0;
   }
   if (replayed != nullptr) *replayed += hits;
@@ -311,17 +303,67 @@ std::array<double, 2> Integrator::potential_influence(geom::Vec3 x,
   return inner_integrals(x, source, field_layer);
 }
 
-std::array<double, 2> Integrator::potential_influence(geom::Vec3 x, std::size_t field_layer,
-                                                      const BemElement& source,
-                                                      CongruenceCache& cache) const {
-  const PairSignature signature = make_point_signature(x, field_layer, source, cache.quantum());
-  LocalMatrix block;  // the influence lives in row 0
-  if (!cache.lookup(signature, block)) {
-    const PointSourceGeometry canonical = decode_point_signature(signature, cache.quantum());
-    block.value[0] = inner_integrals(canonical.point, canonical.source, canonical.field_layer);
-    cache.insert(signature, block);
+void Integrator::potential_influences(std::span<const PairSignature> keys,
+                                      CongruenceCache& cache, double* out0,
+                                      double* out1) const {
+  // Per-thread scratch: the missed key indices and the decoded points of
+  // one miss group, reused across calls.
+  thread_local std::vector<std::size_t> misses;
+  thread_local std::vector<std::size_t> group;
+  thread_local std::vector<double> scratch;
+  misses.clear();
+  for (std::size_t k = 0; k < keys.size(); ++k) {
+    LocalMatrix block;  // the influence lives in row 0
+    if (cache.lookup(keys[k], block)) {
+      out0[k] = block.value[0][0];
+      out1[k] = block.value[0][1];
+    } else {
+      misses.push_back(k);
+    }
   }
-  return block.value[0];
+  // Group the misses by decoded source (one group per element in practice)
+  // and integrate each group in one call: the decoded source and layer are
+  // identical within a group and every batched point equals its own
+  // single-point evaluation bitwise, so each value still depends on its key
+  // alone.
+  while (!misses.empty()) {
+    const PairSignature& first = keys[misses.front()];
+    const PointSourceGeometry canonical = decode_point_signature(first, cache.quantum());
+    group.clear();
+    std::size_t rest = 0;
+    for (std::size_t i = 0; i < misses.size(); ++i) {
+      const std::size_t k = misses[i];
+      if (same_point_source(keys[k], first)) {
+        group.push_back(k);
+      } else {
+        misses[rest++] = k;
+      }
+    }
+    misses.resize(rest);
+    const std::size_t count = group.size();
+    scratch.resize(5 * count);
+    double* xs = scratch.data();
+    double* ys = xs + count;
+    double* zs = ys + count;
+    double* value0 = zs + count;
+    double* value1 = value0 + count;
+    for (std::size_t g = 0; g < count; ++g) {
+      const geom::Vec3 point = decode_point_signature(keys[group[g]], cache.quantum()).point;
+      xs[g] = point.x;
+      ys[g] = point.y;
+      zs[g] = point.z;
+    }
+    potential_influences(canonical.source, canonical.field_layer, xs, ys, zs, count, value0,
+                         value1);
+    for (std::size_t g = 0; g < count; ++g) {
+      const std::size_t k = group[g];
+      out0[k] = value0[g];
+      out1[k] = value1[g];
+      LocalMatrix block;
+      block.value[0] = {value0[g], value1[g]};
+      cache.insert(keys[k], block);
+    }
+  }
 }
 
 void Integrator::potential_influences(const BemElement& source, std::size_t field_layer,

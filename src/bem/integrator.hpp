@@ -15,6 +15,7 @@
 #include <span>
 
 #include "src/bem/element.hpp"
+#include "src/bem/pair_signature.hpp"
 #include "src/soil/hankel_kernel.hpp"
 #include "src/soil/image_series.hpp"
 #include "src/soil/point_kernel.hpp"
@@ -99,16 +100,17 @@ class Integrator {
   [[nodiscard]] LocalMatrix element_pair(const BemElement& field,
                                          const BemElement& source) const;
 
-  /// Cache-aware variant: a null `cache` is the plain computation; otherwise
-  /// the pair's congruence signature is looked up first and the integration
-  /// runs only on a miss (the result is then stored for congruent pairs).
-  /// `was_hit`, when non-null, receives whether the block was replayed — the
-  /// assembly's per-run hit/miss tally, which stays exact even when several
-  /// concurrent runs share the cache (the cache's own counters are
-  /// lifetime-cumulative across all of them).
+  /// Cached entry point, keyed by the caller: `key` is the pair's
+  /// role-canonical signature (make_canonical_pair_signature of the two
+  /// element frames, which assembly and the far-field build make once per
+  /// run). The block is replayed on a hit and integrated from the pair in
+  /// hand, then stored, on a miss. `was_hit`, when non-null, receives
+  /// whether the block was replayed — the assembly's per-run hit/miss
+  /// tally, which stays exact even when several concurrent runs share the
+  /// cache.
   [[nodiscard]] LocalMatrix element_pair(const BemElement& field, const BemElement& source,
-                                         CongruenceCache* cache,
-                                         bool* was_hit = nullptr) const;
+                                         const CanonicalPairSignature& key,
+                                         CongruenceCache& cache, bool* was_hit = nullptr) const;
 
   /// Batched far-field entry point: Galerkin blocks of one fixed source
   /// (trial) element against many field (test) elements, out[k] =
@@ -121,29 +123,32 @@ class Integrator {
   void element_pair_batch(const BemElement& source,
                           std::span<const BemElement* const> fields, LocalMatrix* out) const;
 
-  /// Cache-aware batched entry: each field's congruence signature is looked
-  /// up before any sampling, so ACA row/column samples over congruent
-  /// geometry replay stored blocks instead of re-integrating — on ordered
-  /// grids most of the sampling bill. Misses are integrated with the shared
-  /// per-source workspace and inserted for the next congruent pair.
-  /// `replayed`, when non-null, is incremented by the number of fields
-  /// served from the cache.
-  void element_pair_batch(const BemElement& source,
-                          std::span<const BemElement* const> fields, LocalMatrix* out,
-                          CongruenceCache* cache, std::size_t* replayed = nullptr) const;
+  /// Cached batched entry: keys[k] is the key of (fields[k], source). Each
+  /// key is looked up before any sampling, so ACA row/column samples over
+  /// congruent geometry replay stored blocks instead of re-integrating — on
+  /// ordered grids most of the sampling bill. Misses are integrated with
+  /// the shared per-source workspace and inserted for the next congruent
+  /// pair. `replayed`, when non-null, is incremented by the number of
+  /// fields served from the cache.
+  void element_pair_batch(const BemElement& source, std::span<const BemElement* const> fields,
+                          std::span<const CanonicalPairSignature> keys, LocalMatrix* out,
+                          CongruenceCache& cache, std::size_t* replayed = nullptr) const;
 
   /// Potential influence at point x of source element alpha's local DoFs
   /// (paper eq. 4.3): V(x) = sum_i sigma_i * coefficient_i.
   [[nodiscard]] std::array<double, 2> potential_influence(geom::Vec3 x,
                                                           const BemElement& source) const;
 
-  /// Cache-aware variant for a point of soil layer `field_layer`, keyed by
-  /// make_point_signature. A miss integrates the geometry decoded from the
-  /// key, not the pair in hand, so hit or miss the result is a function of
-  /// the key alone (and equals the plain influence to the key's quantum).
-  [[nodiscard]] std::array<double, 2> potential_influence(geom::Vec3 x, std::size_t field_layer,
-                                                          const BemElement& source,
-                                                          CongruenceCache& cache) const;
+  /// Cached point influences of one source element: keys[k] is the point
+  /// signature of field point k against that element (make_pair_signature
+  /// of the point's frame and the element's). Hits are replayed; misses
+  /// integrate the geometry decoded from their key, not the pair in hand,
+  /// so hit or miss out0[k] / out1[k] are a function of keys[k] alone (and
+  /// equal the plain influence to the key's quantum). The misses that
+  /// decode to one source — all of them, for one element — share one
+  /// potential_influences call and with it one image sweep.
+  void potential_influences(std::span<const PairSignature> keys, CongruenceCache& cache,
+                            double* out0, double* out1) const;
 
   /// Batched potential influence: source element alpha's local-DoF
   /// coefficients at `count` field points (structure of arrays), all of

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 
 namespace ebem {
 
@@ -22,15 +21,6 @@ namespace ebem {
 [[nodiscard]] inline constexpr std::uint64_t hash_combine(std::uint64_t seed,
                                                           std::uint64_t value) {
   return splitmix64(seed ^ (value + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2)));
-}
-
-/// Hash of a word sequence (order dependent, non-zero seed so that the empty
-/// sequence and a single zero word hash differently).
-[[nodiscard]] inline constexpr std::uint64_t hash_words(std::span<const std::uint64_t> words,
-                                                        std::uint64_t seed = 0x1234567890abcdefULL) {
-  std::uint64_t h = seed;
-  for (const std::uint64_t w : words) h = hash_combine(h, w);
-  return h;
 }
 
 }  // namespace ebem

@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "src/bem/congruence_cache.hpp"
+#include "src/bem/pair_signature.hpp"
 #include "src/common/error.hpp"
 #include "src/parallel/parallel_for.hpp"
 #include "src/soil/kernel_factory.hpp"
@@ -89,6 +90,11 @@ std::vector<double> PotentialEvaluator::at(const std::vector<geom::Vec3>& points
     begin = end;
   }
 
+  // With a cache, every influence is keyed from two frames: the elements'
+  // are built once here, each point's once in its chunk.
+  const std::vector<bem::ElementFrame> frames =
+      cache_ == nullptr ? std::vector<bem::ElementFrame>{}
+                        : bem::make_element_frames(model_.elements(), cache_->quantum());
   const bem::BasisKind basis = options_.integrator.basis;
   const std::size_t locals = model_.local_dof_count(basis);
   par::parallel_for(*pool_, chunks.size(), par::Schedule::dynamic(1), [&](std::size_t c) {
@@ -102,11 +108,16 @@ std::vector<double> PotentialEvaluator::at(const std::vector<geom::Vec3>& points
     double* influence0 = zs + m;
     double* influence1 = influence0 + m;
     double* sum = influence1 + m;
+    std::vector<bem::ElementFrame> point_frames(cache_ == nullptr ? 0 : m);
+    std::vector<bem::PairSignature> keys(point_frames.size());
     for (std::size_t k = 0; k < m; ++k) {
       const geom::Vec3& point = points[order[chunk.begin + k]];
       xs[k] = point.x;
       ys[k] = point.y;
       zs[k] = point.z;
+      if (cache_ != nullptr) {
+        point_frames[k] = bem::make_point_frame(point, chunk_layer, cache_->quantum());
+      }
     }
     // Elements outer, local DoFs next, points inner: each point's sum sees
     // the terms in exactly the order at(x) adds them.
@@ -117,11 +128,9 @@ std::vector<double> PotentialEvaluator::at(const std::vector<geom::Vec3>& points
                                          influence1);
       } else {
         for (std::size_t k = 0; k < m; ++k) {
-          const auto influence =
-              integrator_.potential_influence({xs[k], ys[k], zs[k]}, chunk_layer, element, *cache_);
-          influence0[k] = influence[0];
-          influence1[k] = influence[1];
+          keys[k] = bem::make_pair_signature(point_frames[k], frames[e]);
         }
+        integrator_.potential_influences(keys, *cache_, influence0, influence1);
       }
       for (std::size_t q = 0; q < locals; ++q) {
         const double* influence = q == 0 ? influence0 : influence1;

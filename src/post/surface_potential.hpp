@@ -11,11 +11,18 @@
 //  * without a congruence cache, one image sweep per source element and
 //    chunk, evaluated against all its points in one SoA kernel call; values
 //    equal at(x) bitwise. The faster path on irregular geometry.
-//  * with a cache, Integrator::potential_influence(..., cache): one
-//    integration per congruence class (a regular grid's safety patch has
-//    ~28x fewer classes than pairs), from the geometry decoded from the key.
-//    Values are a function of the keys alone — bitwise identical at any
-//    thread count, chunking and cache content — and within 1e-12 of at(x).
+//  * with a cache, one integration per congruence class (a regular grid's
+//    safety patch has ~28x fewer classes than pairs). Each (point, element)
+//    influence is keyed from two frames — the elements' built once per
+//    call, each point's once in its chunk — and handed to
+//    Integrator::potential_influences(keys, cache). A miss integrates the
+//    geometry decoded from its key: the element's canonical source at the
+//    origin and the point at the rotated, reflected offset. Every miss of
+//    one element decodes to the same source, so a chunk's misses of that
+//    element share one image sweep in one batched call. Values are a
+//    function of the keys alone — bitwise identical at any thread count,
+//    chunking, batch composition and cache content — and within 1e-12 of
+//    at(x).
 //
 // Pool ownership: an evaluator either borrows a pool (the engine's, so the
 // post step shares its session's workers — campaign::Runner and

@@ -209,15 +209,19 @@ TEST(CongruenceCache, BatchedEntryReplaysCongruentFields) {
   integrator.element_pair_batch(source, fields, plain.data());
 
   CongruenceCache cache(soil);
+  std::vector<CanonicalPairSignature> keys;
+  for (const BemElement* field : fields) {
+    keys.push_back(make_canonical_pair_signature(*field, source, cache.quantum()));
+  }
   std::vector<LocalMatrix> cold(fields.size());
   std::size_t cold_replays = 0;
-  integrator.element_pair_batch(source, fields, cold.data(), &cache, &cold_replays);
+  integrator.element_pair_batch(source, fields, keys, cold.data(), cache, &cold_replays);
   // The mirror copy replays within the very first batch.
   EXPECT_EQ(cold_replays, 1u);
 
   std::vector<LocalMatrix> warm(fields.size());
   std::size_t warm_replays = 0;
-  integrator.element_pair_batch(source, fields, warm.data(), &cache, &warm_replays);
+  integrator.element_pair_batch(source, fields, keys, warm.data(), cache, &warm_replays);
   EXPECT_EQ(warm_replays, fields.size());
 
   for (std::size_t k = 0; k < fields.size(); ++k) {
